@@ -42,7 +42,10 @@ class ExecutionMetrics:
     equijoin_rows:
         Element-level matches produced by the core equi-join.
     candidate_pairs:
-        Distinct ⟨R.A, S.A⟩ group pairs compared against the predicate.
+        Distinct ⟨R.A, S.A⟩ group pairs compared against the predicate —
+        rows of the logical plan's candidate relation, both ``(g, h)``
+        and ``(h, g)`` on a self-join even when one evaluation serves
+        both (see ``verify_candidates``).
     output_pairs:
         Pairs satisfying the SSJoin predicate.
     similarity_comparisons:
@@ -56,7 +59,9 @@ class ExecutionMetrics:
         built (and cached) for this execution.
     verify_candidates / verify_bitmap_pruned / verify_position_pruned /
     verify_merges_run / verify_merges_early_exited:
-        Per-stage verification-engine counters (:mod:`repro.core.verify`):
+        Per-stage verification-engine counters (:mod:`repro.core.verify`),
+        counting *evaluations performed* (one per unordered pair on a
+        mirrored self-join, so ``verify_candidates <= candidate_pairs``):
         candidates entering the engine, candidates killed by the bitmap
         XOR-popcount bound, candidates killed by the positional /
         remaining-weight bound, merge-intersections actually run, and

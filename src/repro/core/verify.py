@@ -25,7 +25,7 @@ before any merge runs, with three stages ordered cheapest-first:
 2. **Positional / remaining-weight stage** — the pair's smallest common
    token sits at position ``p`` of the left array and ``j`` of the
    right array (both inside the β-prefixes; see
-   :meth:`VerificationEngine.verify_group`), so the overlap can reach at
+   :meth:`VerificationEngine.evaluate`), so the overlap can reach at
    most ``min(wt(left[p:]), (|B| - j) · max_left_weight)``.
 3. **Early-exit merge** — survivors run the ordinary merge-intersection,
    abandoned as soon as the accumulated overlap plus the remaining left
@@ -52,16 +52,28 @@ the per-width key keeps them apart, and the universe guard rebuilds
 signatures whenever the backing :class:`TokenDictionary` has grown since
 packing — a stale width mapping must never mis-prune.
 
+Mirrored evaluation: on a self-join whose candidate relation is
+symmetric and whose weights depend on the token alone, the engine
+evaluates each unordered pair once and emits both of its rows — the
+conditions, and why they make it sound, are on
+:class:`VerificationEngine`.
+
 Every stage is observable: per-stage counters (candidates in,
 bitmap-pruned, position-pruned, merges run, merges early-exited) land in
 :class:`~repro.core.metrics.ExecutionMetrics` and flow into bench
-telemetry (``verify_engine`` block of ``BENCH_core.json``).
+telemetry (``verify_engine`` block of ``BENCH_core.json``).  They count
+evaluations performed — every evaluation ends in exactly one of the
+identity fast path, a bitmap prune, a positional prune or a merge — so
+they drop on mirrored self-joins, while ``candidate_pairs`` keeps
+counting the rows of the logical plan's candidate relation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 from zlib import crc32
 
@@ -96,7 +108,12 @@ __all__ = [
     "required_overlap_count",
     "signature_of",
     "signatures_for",
+    "total_weights_for",
+    "weights_by_token_for",
 ]
+
+#: The five parallel RESULT_SCHEMA output columns.
+ResultColumns = Tuple[List[object], List[object], List[float], List[float], List[float]]
 
 #: Bounds must only prune pairs the verify step would reject.  satisfied()
 #: admits ``overlap + OVERLAP_EPSILON >= threshold`` and the upper bounds
@@ -323,6 +340,41 @@ def cumulative_weights_for(
     return cums
 
 
+def total_weights_for(encoded: "EncodedPreparedRelation") -> List[float]:
+    """Per-group total weight, cached: the last cumulative weight, i.e.
+    the left-to-right float sum a full merge of the group with itself
+    would produce."""
+    cache = encoded.verify_cache
+    cached = cache.get("total_weights")
+    if cached is None:
+        cached = [cum[-1] for cum in cumulative_weights_for(encoded)]
+        cache["total_weights"] = cached
+    return cached
+
+
+def weights_by_token_for(encoded: "EncodedPreparedRelation") -> bool:
+    """Whether every token carries one weight across all groups, cached.
+
+    True for IDF and unit weights (a weight table keyed by element);
+    :meth:`PreparedRelation.from_relation` over a per-row ``w`` column
+    can violate it.  One of the three conditions of the engine's
+    mirrored evaluation: only then is a pair's overlap the same float
+    whichever side's weights the merge sums.
+    """
+    cache = encoded.verify_cache
+    cached = cache.get("weights_by_token")
+    if cached is None:
+        seen: Dict[int, float] = {}
+        record = seen.setdefault
+        cached = not any(
+            record(t, w) != w
+            for ids, weights in zip(encoded.ids, encoded.weights)
+            for t, w in zip(ids, weights)
+        )
+        cache["weights_by_token"] = cached
+    return cached
+
+
 def mean_set_norm(encoded: "EncodedPreparedRelation") -> float:
     """Mean group set-weight — the chooser's "typical norm", cached."""
     cache = encoded.verify_cache
@@ -380,6 +432,33 @@ class VerificationEngine:
     same merge order, bit-identical overlaps, identical counters.  One
     instance per execution (or per shard); counters accumulate locally
     and are folded into :class:`ExecutionMetrics` by :meth:`flush`.
+
+    **Mirrored evaluation.**  A self-join's candidate relation contains
+    ``(g, h)`` and ``(h, g)`` for every unordered pair, and the two rows
+    share one overlap whenever a token's weight does not depend on the
+    group holding it.  The engine then evaluates each unordered pair once
+    and emits both rows.  It does so only when it can observe that this
+    is sound:
+
+    * both sides are the *same* columnar arrays (``left_ids is
+      right_ids``);
+    * the two β-prefix length lists are equal, so the candidate relation
+      is symmetric (``one_sided`` predicates fail this);
+    * *weights_by_token* — every token carries one weight across all
+      groups (:func:`weights_by_token_for`; per-row ``w`` columns can
+      violate it), so the merge sums the same floats in the same
+      ascending-id order from either side.
+
+    Otherwise every candidate is evaluated as a directed ``(left,
+    right)`` pair, exactly as before.  Either way
+    :attr:`candidate_pairs` counts the *logical plan's* candidate rows
+    (both orientations), while the five stage counters count the
+    evaluations actually performed.
+
+    Admitted rows are kept as ``(left position, right position,
+    overlap)`` triples and materialized once, by :meth:`columns`, in
+    ascending ``(left, right)`` position order — the order a directed
+    probe of ascending left groups emits, whichever path ran.
     """
 
     __slots__ = (
@@ -394,12 +473,20 @@ class VerificationEngine:
         "left_signatures",
         "right_signatures",
         "left_max_weights",
+        "left_keys",
+        "right_keys",
         "nbits",
         "positional",
         "early_exit",
         "identity",
+        "mirrored",
         "_terms",
+        "_symmetric",
         "_cums",
+        "_totals",
+        "_rows",
+        "_mirror_rows",
+        "candidate_pairs",
         "candidates",
         "bitmap_pruned",
         "position_pruned",
@@ -417,13 +504,18 @@ class VerificationEngine:
         right_ids: Sequence[Sequence[int]],
         right_norms: Sequence[float],
         right_prefix: Sequence[int],
+        *,
+        left_keys: Sequence[object],
+        right_keys: Sequence[object],
+        left_max_weights: Sequence[float],
         nbits: int = 0,
         left_signatures: Optional[Sequence[int]] = None,
         right_signatures: Optional[Sequence[int]] = None,
-        left_max_weights: Optional[Sequence[float]] = None,
         positional: bool = True,
         early_exit: bool = True,
         cums: Optional[Sequence[List[float]]] = None,
+        totals: Optional[Sequence[float]] = None,
+        weights_by_token: bool = False,
     ) -> None:
         self.predicate = predicate
         self.left_ids = left_ids
@@ -437,6 +529,8 @@ class VerificationEngine:
         self.left_signatures = left_signatures
         self.right_signatures = right_signatures
         self.left_max_weights = left_max_weights
+        self.left_keys = left_keys
+        self.right_keys = right_keys
         self.positional = positional
         self.early_exit = early_exit
         # Self-join detection: when both sides are the *same* columnar
@@ -445,12 +539,34 @@ class VerificationEngine:
         # (The total is accumulated left-to-right like merge_overlap's
         # sum, so the emitted float is bit-identical.)
         self.identity = left_ids is right_ids
-        self._terms = _linear_terms(predicate)
-        # Cumulative weights: prebuilt columnar (sequential plans) or a
-        # lazily-filled per-group map (workers touch a range subset).
-        self._cums: Dict[int, List[float]] = {}
-        if cums is not None:
-            self._cums = dict(enumerate(cums))
+        n = len(left_ids)
+        self.mirrored = (
+            self.identity
+            and weights_by_token
+            and len(left_prefix) == len(right_prefix) == n
+            and all(map(eq, left_prefix, right_prefix))
+        )
+        self._terms = terms = _linear_terms(predicate)
+        # A threshold whose terms are closed under swapping the two norms
+        # is the same float for both rows of a pair: the same products,
+        # summed commutatively.
+        self._symmetric = terms is not None and sorted(terms) == sorted(
+            (fr, fl, off) for fl, fr, off in terms
+        )
+        # Cumulative weights: prebuilt columnar (sequential plans) or
+        # filled per group on first use (workers touch a range subset).
+        self._cums: Sequence[Optional[List[float]]] = (
+            cums if cums is not None else [None] * n
+        )
+        # Total weights, same two shapes.
+        self._totals: Sequence[Optional[float]] = (
+            totals if totals is not None else [None] * n
+        )
+        # Admitted (left position, right position, overlap) triples: the
+        # rows evaluated as given, and the mirrored (h, g) rows.
+        self._rows: Tuple[List[int], List[int], List[float]] = ([], [], [])
+        self._mirror_rows: Tuple[List[int], List[int], List[float]] = ([], [], [])
+        self.candidate_pairs = 0
         self.candidates = 0
         self.bitmap_pruned = 0
         self.position_pruned = 0
@@ -458,7 +574,7 @@ class VerificationEngine:
         self.merges_early_exited = 0
 
     def _cum_for(self, g: int) -> List[float]:
-        cum = self._cums.get(g)
+        cum = self._cums[g]
         if cum is None:
             weights = self.left_weights[g]
             cum = [0.0] * (len(weights) + 1)
@@ -466,46 +582,27 @@ class VerificationEngine:
             for i, w in enumerate(weights):
                 total += w
                 cum[i + 1] = total
-            self._cums[g] = cum
+            self._cums[g] = cum  # type: ignore[index]
         return cum
 
-    def _max_weight(self, g: int) -> float:
-        if self.left_max_weights is not None:
-            return self.left_max_weights[g]
-        weights = self.left_weights[g]
-        return max(weights) if len(weights) else 0.0
+    def _total_for(self, g: int) -> float:
+        """Group total: a left-to-right float sum from 0.0, as the cum
+        build and the merge associate (builtin ``sum`` does too)."""
+        total = self._totals[g]
+        if total is None:
+            total = self._totals[g] = sum(self.left_weights[g])  # type: ignore[index]
+        return total
 
-    def verify_candidates(
+    def evaluate(
         self,
         candidates: Sequence[Tuple[int, Sequence[int]]],
-        left_keys: Optional[Sequence[object]] = None,
-        right_keys: Optional[Sequence[object]] = None,
         own_lo: Optional[int] = None,
-    ) -> List[Tuple[object, object, float, float, float]]:
-        """Batched FILTER returning admitted RESULT_SCHEMA row tuples.
-
-        Thin row-protocol wrapper over :meth:`verify_candidates_columns`
-        (one C-level transpose); counters and values are identical.
-        """
-        columns = self.verify_candidates_columns(
-            candidates, left_keys, right_keys, own_lo
-        )
-        return list(zip(*columns)) if columns[0] else []
-
-    def verify_candidates_columns(
-        self,
-        candidates: Sequence[Tuple[int, Sequence[int]]],
-        left_keys: Optional[Sequence[object]] = None,
-        right_keys: Optional[Sequence[object]] = None,
-        own_lo: Optional[int] = None,
-    ) -> Tuple[List[object], List[object], List[float], List[float], List[float]]:
+    ) -> None:
         """Batched FILTER: verify every ``(g, matches)`` candidate group.
 
-        Returns the admitted pairs as five parallel RESULT_SCHEMA columns
-        ``(left keys, right keys, overlaps, norm_rs, norm_ss)`` — group
-        positions stand in for keys when a key list is ``None``. The
-        columnar shape is the engine's native output since Layer 8: the
-        encoded plans wrap it straight into a ColumnarRelation and the
+        Admitted pairs accumulate as position triples, read back once
+        with :meth:`columns` as five parallel RESULT_SCHEMA columns — the
+        encoded plans wrap them straight into a ColumnarRelation and the
         batch protocol slices it into morsels, so no row tuple is ever
         built on the hot path.  One batched call hoists every
         loop-invariant local exactly once, so a pruned candidate costs a
@@ -522,23 +619,35 @@ class VerificationEngine:
         term-for-term identical to a full merge.  A hand-built candidate
         with no shared prefix token merges from position 0.
 
+        A self-join's ``(g, g)`` candidates are not evaluated here (a
+        directed probe lists them; they are skipped): they need no merge
+        and go through :meth:`evaluate_identities`.
+
+        Mirrored contract (:attr:`mirrored`): groups arrive in ascending
+        position and *matches* lists the partners ``h < g``.  Each is
+        evaluated once for both rows: every bound is the minimum over
+        the two orientations and is compared with the smaller of the two
+        cutoffs, the merge sums ``g``'s weights — equal, token for token,
+        to ``h``'s — and each orientation is then tested against its own
+        threshold.
+
         *own_lo*: token-range shard ownership — a pair belongs to this
         shard iff its smallest common prefix token is ``>= own_lo``
         (tokens above the shard's range cannot be anchors: candidates are
         discovered through an in-range token, which upper-bounds the
-        smallest one).  Unowned pairs are skipped without counting, so
-        per-stage counters sum to the sequential run's exactly.
+        smallest one).  The rule is symmetric in ``g`` and ``h``, so
+        exactly one shard evaluates each unordered pair.  Unowned pairs
+        are skipped without counting, so per-stage counters sum to the
+        sequential run's exactly.
         """
-        out_ar: List[object] = []
-        out_as: List[object] = []
-        out_ov: List[float] = []
-        out_nr: List[float] = []
-        out_ns: List[float] = []
-        emit_ar = out_ar.append
-        emit_as = out_as.append
+        out_l, out_r, out_ov = self._rows
+        emit_l = out_l.append
+        emit_r = out_r.append
         emit_ov = out_ov.append
-        emit_nr = out_nr.append
-        emit_ns = out_ns.append
+        mir_l, mir_r, mir_ov = self._mirror_rows
+        emit_ml = mir_l.append
+        emit_mr = mir_r.append
+        emit_mov = mir_ov.append
         left_ids = self.left_ids
         left_weights = self.left_weights
         left_norms = self.left_norms
@@ -554,6 +663,10 @@ class VerificationEngine:
         positional = self.positional
         early = self.early_exit
         identity = self.identity
+        mirrored = self.mirrored
+        early_rev = early and mirrored
+        totals = self._totals
+        cums = self._cums
         margin = PRUNE_MARGIN
         epsilon = OVERLAP_EPSILON
         n_cand = bitmap_pruned = position_pruned = merges = early_exited = 0
@@ -571,54 +684,39 @@ class VerificationEngine:
             elif len(terms) == 2:
                 (fl0, fr0, off0), (fl1, fr1, off1) = terms
                 mode = 2
+        # Reverse-orientation state (mirrored only).
+        symmetric = self._symmetric
+        b0 = b1 = theta_rev = total_h = maxw_h = 0.0
+        cum_h: List[float] = []
 
-        cums_map = self._cums
         for g, matches in candidates:
             lids = left_ids[g]
             lw = left_weights[g]
             nl = len(lids)
             kl = left_prefix[g]
+            total_weight = totals[g]
+            if total_weight is None:
+                total_weight = self._total_for(g)
             # The cumulative array is only needed by the positional
             # bound and the early-exit merge; most candidates die at
             # the bitmap stage first, so its build is deferred until a
-            # candidate of this group survives.  The group total is a
-            # left-to-right float sum from 0.0 either way (builtin sum
-            # associates identically to the cum build and the merge).
-            cum = cums_map.get(g)
-            total_weight = cum[nl] if cum is not None else sum(lw)
-            maxw = maxw_arr[g] if maxw_arr is not None else (max(lw) if nl else 0.0)
+            # candidate of this group survives.
+            cum = cums[g]
+            maxw = maxw_arr[g]
             norm_r = left_norms[g]
-            a_r = left_keys[g] if left_keys is not None else g
             sig = left_sigs[g] if nbits else 0
             a0 = fl0 * norm_r
             a1 = fl1 * norm_r
+            if mirrored:
+                b0 = fr0 * norm_r
+                b1 = fr1 * norm_r
             if own_lo is None:
                 n_cand += len(matches)
 
             for h in matches:
                 if identity and h == g:
-                    # Group paired with itself: overlap is exactly the
-                    # group's total weight — same left-to-right sum the
-                    # merge would compute, no merge needed.
-                    if own_lo is not None:
-                        if nl == 0 or lids[0] < own_lo:
-                            continue
-                        n_cand += 1
-                    norm_s = right_norms[h]
-                    if mode == 2:
-                        t0 = a0 + fr0 * norm_s + off0
-                        t1 = a1 + fr1 * norm_s + off1
-                        theta = t0 if t0 >= t1 else t1
-                    elif mode == 1:
-                        theta = a0 + fr0 * norm_s + off0
-                    else:
-                        theta = threshold(norm_r, norm_s)
-                    if total_weight + epsilon >= theta:
-                        emit_ar(a_r)
-                        emit_as(right_keys[h] if right_keys is not None else h)
-                        emit_ov(total_weight)
-                        emit_nr(norm_r)
-                        emit_ns(norm_s)
+                    if own_lo is None:
+                        n_cand -= 1
                     continue
                 p = -1
                 i = j = 0
@@ -660,15 +758,40 @@ class VerificationEngine:
                 else:
                     theta = threshold(norm_r, norm_s)
                 cutoff = theta - margin
+                bound_weight = total_weight
+                bound_maxw = maxw
+                if mirrored:
+                    # The (h, g) row: h's threshold, total and max weight
+                    # tighten every bound below.
+                    if symmetric:
+                        theta_rev = theta
+                    elif mode == 2:
+                        t0 = fl0 * norm_s + b0 + off0
+                        t1 = fl1 * norm_s + b1 + off1
+                        theta_rev = t0 if t0 >= t1 else t1
+                    elif mode == 1:
+                        theta_rev = fl0 * norm_s + b0 + off0
+                    else:
+                        theta_rev = threshold(norm_s, norm_r)
+                    if theta_rev < theta:
+                        cutoff = theta_rev - margin
+                    total_h = totals[h]
+                    if total_h is None:
+                        total_h = self._total_for(h)
+                    if total_h < bound_weight:
+                        bound_weight = total_h
+                    maxw_h = maxw_arr[h]
+                    if maxw_h < bound_maxw:
+                        bound_maxw = maxw_h
                 if nbits:
                     # Degenerate-signature pre-test: the overlap can never
                     # exceed the left group's total weight, so a cutoff
                     # above it kills the pair with zero popcount work.
-                    if total_weight < cutoff:
+                    if bound_weight < cutoff:
                         bitmap_pruned += 1
                         continue
                     bound = (nl + len(right_ids[h])
-                             - (sig ^ right_sigs[h]).bit_count()) * 0.5 * maxw
+                             - (sig ^ right_sigs[h]).bit_count()) * 0.5 * bound_maxw
                     if bound < cutoff:
                         bitmap_pruned += 1
                         continue
@@ -693,11 +816,24 @@ class VerificationEngine:
                     else:
                         j += 1
                 nr = len(rids)
+                if mirrored and (positional or early):
+                    cum_h = cums[h]
+                    if cum_h is None:
+                        cum_h = self._cum_for(h)
                 if p >= 0:
                     if positional:
                         if cum is None:
                             cum = self._cum_for(g)
-                        if total_weight - cum[p] < cutoff or (nr - j) * maxw < cutoff:
+                        remaining = total_weight - cum[p]
+                        reachable = (nr - j) * maxw
+                        if mirrored:
+                            remaining_h = total_h - cum_h[j]
+                            if remaining_h < remaining:
+                                remaining = remaining_h
+                            reachable_h = (nl - p) * maxw_h
+                            if reachable_h < reachable:
+                                reachable = reachable_h
+                        if remaining < cutoff or reachable < cutoff:
                             position_pruned += 1
                             continue
                 else:
@@ -722,28 +858,87 @@ class VerificationEngine:
                             break
                     else:
                         j += 1
+                        if early_rev and overlap + (total_h - cum_h[j]) < cutoff:
+                            early_exited += 1
+                            break
                 else:
                     if overlap + epsilon >= theta:
-                        emit_ar(a_r)
-                        emit_as(right_keys[h] if right_keys is not None else h)
+                        emit_l(g)
+                        emit_r(h)
                         emit_ov(overlap)
-                        emit_nr(norm_r)
-                        emit_ns(norm_s)
+                    if mirrored and overlap + epsilon >= theta_rev:
+                        emit_ml(h)
+                        emit_mr(g)
+                        emit_mov(overlap)
 
+        # The logical plan holds both rows of every mirrored pair.
+        self.candidate_pairs += 2 * n_cand if mirrored else n_cand
         self.candidates += n_cand
         self.bitmap_pruned += bitmap_pruned
         self.position_pruned += position_pruned
         self.merges_run += merges
         self.merges_early_exited += early_exited
-        return (out_ar, out_as, out_ov, out_nr, out_ns)
 
-    def verify_group(
-        self, g: int, matches: Sequence[int]
-    ) -> List[Tuple[int, float, float]]:
-        """Single-group convenience over :meth:`verify_candidates`:
-        returns admitted ``(h, overlap, norm_s)`` triples."""
-        rows = self.verify_candidates([(g, matches)])
-        return [(h, overlap, norm_s) for _, h, overlap, _, norm_s in rows]
+    def evaluate_identities(self, groups: Sequence[int]) -> None:
+        """Self-join candidates ``(g, g)``: a group paired with itself.
+
+        The overlap is exactly the group's total weight — the same
+        left-to-right sum the merge would compute — so no bound and no
+        merge runs, and the whole column is tested at once; each group
+        counts as one candidate of the logical plan and one evaluation.
+        """
+        norms = [self.left_norms[g] for g in groups]
+        terms = self._terms
+        if terms is None:
+            threshold = self.predicate.threshold
+            thetas = [threshold(n, n) for n in norms]
+        else:
+            # max over the linear conjuncts, each associated as in the
+            # pair loop: (fl·norm_r + fr·norm_s) + off.
+            thetas = [-math.inf] * len(norms)
+            for fl, fr, off in terms:
+                thetas = [
+                    t if t >= (v := fl * n + fr * n + off) else v
+                    for t, n in zip(thetas, norms)
+                ]
+        weights = list(map(self._total_for, groups))
+        epsilon = OVERLAP_EPSILON
+        admitted = [w + epsilon >= t for w, t in zip(weights, thetas)]
+        out_l, out_r, out_ov = self._rows
+        out_l.extend(compress(groups, admitted))
+        out_r.extend(compress(groups, admitted))
+        out_ov.extend(compress(weights, admitted))
+        self.candidate_pairs += len(groups)
+        self.candidates += len(groups)
+
+    def columns(self) -> ResultColumns:
+        """Every admitted row so far as five parallel RESULT_SCHEMA
+        columns, in ascending ``(left, right)`` position order.
+
+        Rows of a join of two relations were emitted in that order.  On
+        a self-join the identity rows follow them, and the mirrored
+        ``(h, g)`` rows come in evaluation order (ascending ``g``): one
+        sort on the position pair — a few ascending runs — restores it.
+        """
+        left, right, overlaps = (
+            rows + mirror for rows, mirror in zip(self._rows, self._mirror_rows)
+        )
+        if self.identity:
+            width = len(self.right_ids)
+            rank = [g * width + h for g, h in zip(left, right)]
+            order = sorted(range(len(rank)), key=rank.__getitem__)
+            left = [left[i] for i in order]
+            right = [right[i] for i in order]
+            overlaps = [overlaps[i] for i in order]
+        left_keys, left_norms = self.left_keys, self.left_norms
+        right_keys, right_norms = self.right_keys, self.right_norms
+        return (
+            [left_keys[g] for g in left],
+            [right_keys[h] for h in right],
+            overlaps,
+            [left_norms[g] for g in left],
+            [right_norms[h] for h in right],
+        )
 
     def prune_partial(
         self, g: int, prefix_len: int, overlaps: Dict[int, float]
@@ -762,7 +957,7 @@ class VerificationEngine:
         cum = self._cum_for(g)
         total_weight = cum[nl]
         suffix_weight = total_weight - cum[prefix_len]
-        maxw = self._max_weight(g)
+        maxw = self.left_max_weights[g]
         norm_r = self.left_norms[g]
         threshold = self.predicate.threshold
         right_norms = self.right_norms
@@ -878,4 +1073,8 @@ def engine_for_encoded(
         positional=cfg.positional,
         early_exit=cfg.early_exit,
         cums=cumulative_weights_for(enc_left),
+        totals=total_weights_for(enc_left),
+        left_keys=enc_left.keys,
+        right_keys=enc_right.keys,
+        weights_by_token=enc_right is enc_left and weights_by_token_for(enc_left),
     )

@@ -51,6 +51,7 @@ from repro.core.verify import (
     max_weights_for,
     resolve_signature_bits,
     signatures_for,
+    weights_by_token_for,
 )
 from repro.errors import PlanError
 from repro.parallel.scheduler import OVERSPLIT, choose_workers, shard_count
@@ -509,7 +510,7 @@ def _plan_token_range(
         nbits = 0
         left_sigs = right_sigs = None
         maxw = None
-        positional = early = False
+        positional = early = by_token = False
     else:
         nbits = resolve_signature_bits(enc_left, enc_right, predicate, cfg)
         left_sigs = tuple(signatures_for(enc_left, nbits)) if nbits else None
@@ -525,6 +526,7 @@ def _plan_token_range(
         maxw = tuple(max_weights_for(enc_left))
         positional = cfg.positional
         early = cfg.early_exit
+        by_token = enc_right is enc_left and weights_by_token_for(enc_left)
 
     # Self-joins share one ids tuple between the sides: pickle memoizes
     # the shared object, so the worker-side engine still sees
@@ -548,6 +550,7 @@ def _plan_token_range(
         left_max_weights=maxw,
         verify_positional=positional,
         verify_early_exit=early,
+        weights_by_token=by_token,
     )
     universe = len(dictionary)
     shards = plan_token_range_shards(

@@ -15,17 +15,17 @@ Two payload shapes match the two shard kinds:
   and therefore the merged candidate/output counts — identical to the
   unsharded run.
 * :class:`TokenRangePayload` carries the encoded columnar arrays of both
-  sides plus precomputed β-prefix lengths.  A shard builds the inverted
-  index restricted to its token range, probes left prefix ids in range,
-  and emits only the candidate pairs it *owns*: the pair whose smallest
-  common prefix token id falls in ``[lo, hi)``.  Every discovered pair
-  has such a token, and it lies in exactly one range, so the union over
-  shards enumerates each candidate pair exactly once (and the merged
-  ``candidate_pairs`` / ``equijoin_rows`` totals equal the sequential
+  sides plus precomputed β-prefix lengths.  A shard runs the sequential
+  plan's own candidate→verify kernel
+  (:func:`repro.core.encoded_prefix.candidate_verify_columns`) over the
+  prefix tokens in its range and emits only the candidate pairs it
+  *owns*: the pair whose smallest common prefix token id falls in
+  ``[lo, hi)``.  Every discovered pair has such a token, and it lies in
+  exactly one range, so the union over shards enumerates each candidate
+  pair exactly once (and the merged counters equal the sequential
   plan's).
 
-Determinism: all kernels (prefix slicing, ``merge_overlap``, the
-per-pair weight sums) are the sequential plans' own, applied to the same
+Determinism: the kernel is the sequential plan's, applied to the same
 arrays in the same element order, so overlap values are bit-identical to
 the sequential result no matter how work is sharded.
 """
@@ -36,14 +36,14 @@ import pickle
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Optional, Sequence, Tuple, Union
 
-from repro.core.encoded_prefix import merge_overlap
-from repro.core.metrics import (
-    PHASE_FILTER,
-    PHASE_SSJOIN,
-    ExecutionMetrics,
+from repro.core.encoded_prefix import (
+    PrefixJoinColumns,
+    Walk,
+    candidate_verify_columns,
 )
+from repro.core.metrics import ExecutionMetrics
 from repro.core.ordering import ElementOrdering
 from repro.core.predicate import OverlapPredicate
 from repro.core.prepared import PreparedRelation
@@ -77,39 +77,26 @@ class GroupHashPayload:
 
 
 @dataclass(frozen=True)
-class TokenRangePayload:
-    """Columnar arrays + prefix lengths for token-range shards.
+class TokenRangePayload(PrefixJoinColumns):
+    """Columnar arrays + prefix lengths for token-range shards, plus the
+    resolved verification-engine state.
 
-    ``left_ids[g]`` / ``left_weights[g]`` are the sorted parallel arrays
-    of :class:`~repro.core.encoded.EncodedPreparedRelation`;
-    ``left_prefix[g]`` is group *g*'s β-prefix length under the shared
-    dictionary ordering.  Mirrors for the right side (whose weights are
-    not needed: overlap sums left-side weights).
-
-    The ``verify_*`` tail carries the resolved verification-engine state
-    so every shard prunes locally with the *parent's* signatures — no
-    per-worker re-packing, and prune decisions (hence merged per-stage
-    counters) identical to the sequential run.  All tail fields default
-    to the engine-off state, so hand-built payloads (tests) reproduce
-    the pre-engine shard behavior.
+    The ``verify_*`` tail lets every shard prune locally with the
+    *parent's* signatures — no per-worker re-packing, and prune decisions
+    (hence merged per-stage counters) identical to the sequential run.
+    ``weights_by_token`` is the parent's
+    :func:`~repro.core.verify.weights_by_token_for` finding, the one
+    mirrored-evaluation condition a shard cannot observe cheaply.  All
+    tail fields default to the engine-off state.
     """
 
-    left_keys: Tuple[Any, ...]
-    left_ids: Tuple[Sequence[int], ...]
-    left_weights: Tuple[Sequence[float], ...]
-    left_norms: Tuple[float, ...]
-    left_prefix: Tuple[int, ...]
-    right_keys: Tuple[Any, ...]
-    right_ids: Tuple[Sequence[int], ...]
-    right_norms: Tuple[float, ...]
-    right_prefix: Tuple[int, ...]
-    predicate: OverlapPredicate
     verify_bits: int = 0
     left_signatures: Optional[Tuple[int, ...]] = None
     right_signatures: Optional[Tuple[int, ...]] = None
     left_max_weights: Optional[Tuple[float, ...]] = None
     verify_positional: bool = False
     verify_early_exit: bool = False
+    weights_by_token: bool = False
 
 
 @dataclass(frozen=True)
@@ -138,7 +125,11 @@ class StoredTokenRangePayload:
     def rehydrate(self) -> TokenRangePayload:
         # Imported here: repro.storage layers above repro.parallel.
         from repro.core.encoded_prefix import group_prefix_lengths
-        from repro.core.verify import max_weights_for, signatures_for
+        from repro.core.verify import (
+            max_weights_for,
+            signatures_for,
+            weights_by_token_for,
+        )
         from repro.storage.store import load_encoded_ref
 
         enc_left = load_encoded_ref(self.left_ref)
@@ -183,6 +174,9 @@ class StoredTokenRangePayload:
             left_max_weights=tuple(max_weights_for(enc_left)) if engine_on else None,
             verify_positional=self.verify_positional,
             verify_early_exit=self.verify_early_exit,
+            weights_by_token=(
+                engine_on and enc_right is enc_left and weights_by_token_for(enc_left)
+            ),
         )
 
 
@@ -308,62 +302,36 @@ def _run_group_shard(
     return _columns_of(result.pairs), metrics
 
 
-def _shard_groups(
+def _shard_walk(
     groups: Optional[Tuple[int, ...]],
     starts: Optional[Tuple[int, ...]],
-    all_ids: Tuple[Sequence[int], ...],
-    prefix: Tuple[int, ...],
+    all_ids: Sequence[Sequence[int]],
+    prefix: Sequence[int],
     lo: int,
-) -> Iterable[Tuple[int, int]]:
-    """(group position, first in-range prefix offset) pairs for a shard.
+) -> Walk:
+    """(group positions, first in-range prefix offsets) for a shard.
 
     Planner-built shards carry both lists; hand-built descriptors (tests)
     fall back to bisecting every group's prefix to *lo*.
     """
-    if groups is not None and starts is not None:
-        return zip(groups, starts)
-    return (
-        (g, pos)
-        for g, k in enumerate(prefix)
-        if (pos := bisect_left(all_ids[g], lo, 0, k)) < k
-    )
-
-
-def first_common_prefix_token(
-    left_ids: Sequence[int],
-    left_k: int,
-    right_ids: Sequence[int],
-    right_k: int,
-) -> int:
-    """Smallest token id shared by the two β-prefixes, or -1 if none.
-
-    Both arrays are ascending (the ordering ``O``), so the first match of
-    a linear merge is the minimum — this is the shard-ownership test.
-    """
-    i = j = 0
-    while i < left_k and j < right_k:
-        x = left_ids[i]
-        y = right_ids[j]
-        if x == y:
-            return x
-        if x < y:
-            i += 1
-        else:
-            j += 1
-    return -1
+    if groups is None or starts is None:
+        spans = [
+            (g, pos)
+            for g, k in enumerate(prefix)
+            if (pos := bisect_left(all_ids[g], lo, 0, k)) < k
+        ]
+        return tuple(g for g, _ in spans), tuple(pos for _, pos in spans)
+    return groups, starts
 
 
 def _run_token_range_shard(
     p: TokenRangePayload, shard: ShardDescriptor
 ) -> Tuple["ResultColumns", ExecutionMetrics]:
-    lo, hi = shard.lo, shard.hi
     m = ExecutionMetrics()
     m.implementation = "encoded-prefix"
-
     # Local verification engine over the shipped columnar arrays and
-    # parent-packed signatures.  The defaulted payload tail is the inert
-    # config, in which case the legacy ownership + full-merge path below
-    # runs unchanged.
+    # parent-packed signatures; the defaulted payload tail is the inert
+    # config, which runs the kernel's plain reference path.
     engine: Optional[VerificationEngine] = None
     if p.verify_bits or p.verify_positional or p.verify_early_exit:
         engine = VerificationEngine(
@@ -375,118 +343,21 @@ def _run_token_range_shard(
             p.right_ids,
             p.right_norms,
             p.right_prefix,
+            left_keys=p.left_keys,
+            right_keys=p.right_keys,
+            left_max_weights=p.left_max_weights,
             nbits=p.verify_bits,
             left_signatures=p.left_signatures,
             right_signatures=p.right_signatures,
-            left_max_weights=p.left_max_weights,
             positional=p.verify_positional,
             early_exit=p.verify_early_exit,
+            weights_by_token=p.weights_by_token,
         )
-
-    candidates: List[Tuple[int, List[int]]] = []
-    with m.phase(PHASE_SSJOIN):
-        # Inverted index over the right prefixes, restricted to [lo, hi).
-        # Prefix ids are ascending, so two bisects find the in-range span
-        # and the loop walks a C-level slice — the same per-element cost
-        # as the sequential plan's ``ids[:k]`` walk, instead of a Python
-        # position/compare per element.
-        index: Dict[int, List[int]] = {}
-        right_ids = p.right_ids
-        right_prefix = p.right_prefix
-        # Planner-supplied (group, first in-range offset) pairs keep the
-        # walk to the groups that can touch this range and start each walk
-        # at the right token with no per-group bisects.  Prefix ids are
-        # ascending, so the walk stops at the first id >= hi.
-        for h, pos in _shard_groups(shard.right_groups, shard.right_starts,
-                                    right_ids, right_prefix, lo):
-            k = right_prefix[h]
-            ids = right_ids[h]
-            t = ids[pos]
-            while t < hi:
-                index.setdefault(t, []).append(h)
-                pos += 1
-                if pos == k:
-                    break
-                t = ids[pos]
-
-        # Probe left prefix ids in range, same walk discipline.  Prefix
-        # tokens are the rarest of their group, so most probes miss —
-        # allocate the matched set only on the first hit.
-        left_ids = p.left_ids
-        left_prefix = p.left_prefix
-        probe_rows = 0
-        for g, pos in _shard_groups(shard.left_groups, shard.left_starts,
-                                    left_ids, left_prefix, lo):
-            k = left_prefix[g]
-            lids = left_ids[g]
-            matched: Optional[set] = None
-            t = lids[pos]
-            while t < hi:
-                postings = index.get(t)
-                if postings:
-                    probe_rows += len(postings)
-                    if matched is None:
-                        matched = set(postings)
-                    else:
-                        matched.update(postings)
-                pos += 1
-                if pos == k:
-                    break
-                t = lids[pos]
-            if not matched:
-                continue
-            if engine is not None:
-                # Ownership (smallest common prefix token >= lo) moves
-                # into the engine, which finds that anchor token once and
-                # reuses it for the positional bound.
-                candidates.append((g, sorted(matched)))
-                continue
-            # Ownership: emit only pairs whose smallest common prefix
-            # token lies in this range. Discovery found a common token in
-            # [lo, hi), so the minimum exists and is < hi; pairs whose
-            # minimum is below lo belong to (and are found by) an earlier
-            # shard.
-            owned = [
-                h
-                for h in sorted(matched)
-                if first_common_prefix_token(lids, k, right_ids[h], p.right_prefix[h])
-                >= lo
-            ]
-            if owned:
-                candidates.append((g, owned))
-                m.candidate_pairs += len(owned)
-        m.equijoin_rows += probe_rows
-
-    with m.phase(PHASE_FILTER):
-        if engine is not None:
-            columns: ResultColumns = engine.verify_candidates_columns(
-                candidates, p.left_keys, p.right_keys, own_lo=lo
-            )
-            # The engine counted exactly the owned pairs (pre-prune), so
-            # merged candidate_pairs equal the sequential run's.
-            m.candidate_pairs += engine.candidates
-            engine.flush(m)
-        else:
-            col_ar: List[Any] = []
-            col_as: List[Any] = []
-            col_ov: List[float] = []
-            col_nr: List[float] = []
-            col_ns: List[float] = []
-            satisfied = p.predicate.satisfied
-            for g, owned in candidates:
-                lids = left_ids[g]
-                lw = p.left_weights[g]
-                norm_r = p.left_norms[g]
-                a_r = p.left_keys[g]
-                for h in owned:
-                    overlap = merge_overlap(lids, lw, right_ids[h])
-                    norm_s = p.right_norms[h]
-                    if satisfied(overlap, norm_r, norm_s):
-                        col_ar.append(a_r)
-                        col_as.append(p.right_keys[h])
-                        col_ov.append(overlap)
-                        col_nr.append(norm_r)
-                        col_ns.append(norm_s)
-            columns = (col_ar, col_as, col_ov, col_nr, col_ns)
-        m.output_pairs += len(columns[0])
+    lo = shard.lo
+    columns = candidate_verify_columns(
+        p, engine, m, lo, shard.hi,
+        _shard_walk(shard.left_groups, shard.left_starts, p.left_ids, p.left_prefix, lo),
+        _shard_walk(shard.right_groups, shard.right_starts, p.right_ids, p.right_prefix, lo),
+    )
+    m.output_pairs += len(columns[0])
     return columns, m

@@ -29,6 +29,8 @@ from repro.core.verify import (
     signature_of,
     signatures_for,
 )
+from repro.relational.relation import Relation
+from repro.relational.schema import Schema
 from repro.tokenize.sets import WeightedSet
 
 from tests.core.test_implementations import oracle, predicates, prepared_relations
@@ -168,17 +170,38 @@ class TestEngineEquivalence:
         assert m.verify_merges_run < m.verify_candidates
 
     def test_counters_are_consistent(self):
+        """Every evaluation ends in exactly one stage: the identity fast
+        path, a bitmap prune, a positional prune, or a merge."""
         values = [f"common base words entry{i}" for i in range(40)] + [
             "completely unrelated different text"
         ]
+        predicate = OverlapPredicate.two_sided(0.8)
+
+        def stages(m):
+            return (
+                m.verify_bitmap_pruned + m.verify_position_pruned + m.verify_merges_run
+            )
+
+        # Directed: a two-relation join has no identity candidates, and
+        # evaluates every row of the candidate relation.
+        left = PreparedRelation.from_strings(values[:25], lambda s: s.split(), name="l")
+        right = PreparedRelation.from_strings(values[15:], lambda s: s.split(), name="r")
+        m = ExecutionMetrics()
+        encoded_prefix_ssjoin(left, right, predicate, metrics=m)
+        assert m.verify_candidates == m.candidate_pairs > 0
+        assert m.verify_candidates == stages(m)
+        assert m.verify_merges_early_exited <= m.verify_merges_run
+
+        # Mirrored self-join: one identity evaluation per group, one
+        # evaluation per unordered pair — the candidate relation holds
+        # both of its rows.
         prep = PreparedRelation.from_strings(values, lambda s: s.split())
         m = ExecutionMetrics()
-        encoded_prefix_ssjoin(prep, prep, OverlapPredicate.two_sided(0.8), metrics=m)
-        pruned = m.verify_bitmap_pruned + m.verify_position_pruned
-        assert m.verify_candidates == pruned + m.verify_merges_run + (
-            m.verify_candidates - pruned - m.verify_merges_run
-        )
-        assert m.verify_merges_run + pruned <= m.verify_candidates
+        encoded_prefix_ssjoin(prep, prep, predicate, metrics=m)
+        identities = len(prep)
+        assert m.verify_candidates == identities + stages(m)
+        assert m.candidate_pairs == identities + 2 * stages(m)
+        assert m.verify_merges_early_exited <= m.verify_merges_run
         stats = m.verify_stats()
         assert stats["candidates"] == m.verify_candidates
         assert stats["bitmap_pruned"] == m.verify_bitmap_pruned
@@ -219,6 +242,99 @@ class TestWeightedBounds:
                 rel, rel, predicate, verify_config=VerifyConfig(signature_bits=8)
             )
             assert pairs_of(got) == pairs_of(basic_ssjoin(rel, rel, predicate))
+
+
+def _rows_match_basic(got, left, right, predicate):
+    """Same (a_r, a_s) rows as the basic plan, overlaps to round-off."""
+    expected = {(r[0], r[1]): r[2] for r in basic_ssjoin(left, right, predicate).rows}
+    # Encoded plans emit in (left position, right position) order.
+    assert [(r[0], r[1]) for r in got.rows] == [
+        (a_r, a_s) for a_r in left.groups for a_s in right.groups if (a_r, a_s) in expected
+    ]
+    for a_r, a_s, overlap, _, _ in got.rows:
+        assert overlap == pytest.approx(expected[a_r, a_s])
+
+
+class TestMirroredApplicability:
+    """The engine evaluates each unordered pair of a self-join once only
+    when it can observe that this is sound; the ``verify_*`` counters
+    (evaluations) against ``candidate_pairs`` (rows of the candidate
+    relation) tell which path ran."""
+
+    def _relation(self):
+        values = [f"shared core token{i % 7} extra{i % 5} tail{i}" for i in range(40)]
+        return PreparedRelation.from_strings(values, lambda s: s.split(), name="t")
+
+    def _run(self, left, right, predicate):
+        m = ExecutionMetrics()
+        got = encoded_prefix_ssjoin(left, right, predicate, metrics=m)
+        assert m.candidate_pairs > 0
+        return got, m
+
+    def test_asymmetric_prefixes_take_the_directed_path(self):
+        rel = self._relation()
+        predicate = OverlapPredicate.one_sided(0.8, side="left")
+        got, m = self._run(rel, rel, predicate)
+        assert m.verify_candidates == m.candidate_pairs
+        _rows_match_basic(got, rel, rel, predicate)
+
+    def test_per_row_weights_take_the_directed_path(self):
+        # The same token weighs differently from group to group, so a
+        # pair's two rows carry different overlaps.  (The prefix filter
+        # itself assumes element-global weights, so the referee is the
+        # engine-off directed plan, not basic.)
+        rows = [
+            (f"g{g}", tok, 1.0 + ((g * 7 + j) % 5) / 4.0, 10.0)
+            for g in range(24)
+            for j, tok in enumerate(["alpha", "beta", f"own{g % 6}", f"tail{g % 4}"])
+        ]
+        rel = PreparedRelation.from_relation(
+            Relation(Schema(["a", "b", "w", "norm"]), rows, name="per_row")
+        )
+        predicate = OverlapPredicate.two_sided(0.3)
+        got, m = self._run(rel, rel, predicate)
+        assert m.verify_candidates == m.candidate_pairs
+        off = encoded_prefix_ssjoin(
+            rel, rel, predicate, verify_config=VerifyConfig.disabled()
+        )
+        assert list(got.rows) == list(off.rows)
+        overlaps = {(r[0], r[1]): r[2] for r in got.rows}
+        assert any(
+            overlaps[a, b] != overlaps[b, a] for a, b in overlaps if (b, a) in overlaps
+        )
+
+    def test_two_relations_take_the_directed_path(self):
+        rel = self._relation()
+        keys = list(rel.groups)
+        left = PreparedRelation.from_sets({a: rel.groups[a] for a in keys[:25]}, name="l")
+        right = PreparedRelation.from_sets({a: rel.groups[a] for a in keys[15:]}, name="r")
+        predicate = OverlapPredicate.two_sided(0.8)
+        got, m = self._run(left, right, predicate)
+        assert m.verify_candidates == m.candidate_pairs
+        _rows_match_basic(got, left, right, predicate)
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            OverlapPredicate.two_sided(0.8),
+            OverlapPredicate.absolute(3.0),
+            OverlapPredicate.max_norm(0.7, -0.5),
+        ],
+        ids=["two_sided", "absolute", "max_norm"],
+    )
+    def test_equal_prefixes_on_a_self_join_take_the_mirrored_path(self, predicate):
+        rel = self._relation()
+        got, m = self._run(rel, rel, predicate)
+        identities = len(rel)
+        # One evaluation per group and per unordered pair; the candidate
+        # relation holds both rows of each pair.
+        assert m.verify_candidates < m.candidate_pairs
+        assert m.candidate_pairs == identities + 2 * (m.verify_candidates - identities)
+        _rows_match_basic(got, rel, rel, predicate)
+        off = encoded_prefix_ssjoin(
+            rel, rel, predicate, verify_config=VerifyConfig.disabled()
+        )
+        assert list(got.rows) == list(off.rows)
 
 
 class TestSignatureCacheStaleness:

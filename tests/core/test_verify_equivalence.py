@@ -8,11 +8,16 @@ containment), every signature width (including 0 = bitmap disabled and
 result rows must equal the ``basic`` nested-loop plan's pair set and be
 *bit-identical* (same rows, same float overlaps) to the engine-off
 encoded plans.  A Hypothesis sweep extends the same claim to random
-weighted-set relations × all six predicate shapes.
+weighted-set relations × all six predicate shapes, and a differential
+suite over generated *self-joins* holds the mirrored evaluation (each
+unordered pair evaluated once) to the directed engine-off plan — rows,
+row order, overlap bits — and to the brute-force oracle, sequentially
+and across shards.
 """
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from zlib import crc32
 
 from repro.core.basic import basic_ssjoin
@@ -26,6 +31,7 @@ from repro.data.customers import CustomerConfig, generate_addresses
 from repro.parallel import BACKEND_SERIAL, canonical_sort_key, parallel_ssjoin
 from repro.tokenize.qgrams import padded_qgrams
 from repro.tokenize.sets import WeightedSet
+from repro.tokenize.weights import TableWeights
 
 from tests.core.test_implementations import oracle, predicates, prepared_relations
 
@@ -152,3 +158,82 @@ class TestRandomRelations:
                 assert pairs_of(got) == expected, (
                     f"{plan.__name__} width={width}"
                 )
+
+
+# -- mirrored ≡ directed ≡ brute force on generated self-joins ------------------
+
+#: Dyadic weights spanning 2**-20 .. 2**20: every sum over a group is
+#: exact in any order, so the three referees agree bit for bit even at
+#: the thresholds' boundaries.  (WeightedSet rejects 0.0; 2**-20 is the
+#: stand-in for a zero weight.)
+_DYADIC = TableWeights(
+    {"heavy": 0.5, "tiny": 2.0**-20, "huge": 2.0**20,
+     "a": 1.0, "b": 0.25, "c": 2.0, "d": 4.0}
+)
+_TOKENS = ("tiny", "huge", "a", "b", "c", "d")
+
+
+@st.composite
+def self_join_relations(draw):
+    """Up to eight groups over seven tokens: empty groups, repeated
+    tokens (ordinal-encoded into distinct elements), near-zero and huge
+    weights, optionally one heavy-hitter token in every group."""
+    heavy = draw(st.booleans())
+    values = []
+    for i in range(draw(st.integers(min_value=0, max_value=8))):
+        tokens = draw(st.lists(st.sampled_from(_TOKENS), max_size=6))
+        values.append(f"g{i}:" + " ".join(["heavy"] * heavy + tokens))
+    return PreparedRelation.from_strings(
+        values, lambda s: s.partition(":")[2].split(), weights=_DYADIC, name="self"
+    )
+
+
+@st.composite
+def boundary_predicates(draw):
+    """Every family of :func:`predicates`, with thresholds that land
+    exactly on attainable overlaps: fraction 1.0 is β = 0 in Lemma 1 (the
+    prefix shrinks to one element) and dyadic α equal set weights."""
+    if draw(st.booleans()):
+        return draw(predicates())
+    kind = draw(st.sampled_from(["absolute", "two", "max", "one_left"]))
+    if kind == "absolute":
+        return OverlapPredicate.absolute(draw(st.sampled_from([0.25, 0.5, 1.0, 2.0**20])))
+    fraction = draw(st.sampled_from([1.0, 0.5, 0.25]))
+    if kind == "two":
+        return OverlapPredicate.two_sided(fraction)
+    if kind == "max":
+        return OverlapPredicate.max_norm(fraction, draw(st.sampled_from([0.0, -0.5])))
+    return OverlapPredicate.one_sided(fraction, side="left")
+
+
+class TestMirroredDifferential:
+    @given(self_join_relations(), boundary_predicates())
+    @settings(max_examples=120, deadline=None)
+    def test_rows_and_order_match_the_directed_referee_and_the_oracle(
+        self, rel, predicate
+    ):
+        off = encoded_prefix_ssjoin(
+            rel, rel, predicate, verify_config=VerifyConfig.disabled()
+        )
+        assert pairs_of(off) == oracle(rel, rel, predicate)
+        for width in WIDTHS:
+            on = encoded_prefix_ssjoin(rel, rel, predicate, verify_config=_config(width))
+            # Same rows, same order, bit-identical overlaps.
+            assert list(on.rows) == list(off.rows), f"width={width}"
+
+    @given(self_join_relations(), boundary_predicates())
+    @settings(max_examples=60, deadline=None)
+    def test_shards_add_up_to_the_sequential_run(self, rel, predicate):
+        seq_metrics = ExecutionMetrics()
+        seq = encoded_prefix_ssjoin(rel, rel, predicate, metrics=seq_metrics)
+        expected_rows = sorted(seq.rows, key=canonical_sort_key)
+        for workers in WORKERS:
+            m = ExecutionMetrics()
+            result = parallel_ssjoin(
+                rel, rel, predicate, workers=workers,
+                implementation="encoded-prefix", metrics=m, backend=BACKEND_SERIAL,
+            )
+            assert list(result.pairs.rows) == expected_rows, f"workers={workers}"
+            assert m.verify_stats() == seq_metrics.verify_stats(), f"workers={workers}"
+            assert m.candidate_pairs == seq_metrics.candidate_pairs
+            assert m.equijoin_rows == seq_metrics.equijoin_rows
