@@ -25,7 +25,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bench.batch_bench import aggregate_sweep, fig12_headroom, pipeline_sweep
 from repro.bench.harness import SweepRunner
 from repro.bench.reporting import (
     render_json,
@@ -93,17 +92,6 @@ def main(argv=None) -> int:
                         "dispatch and planning overhead)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="keep the fastest of K runs per cell")
-    default_batch_rows = os.environ.get("REPRO_BENCH_BATCH_ROWS") or "100000,1000000"
-    parser.add_argument(
-        "--batch-rows", default=default_batch_rows,
-        help="comma-separated row counts for the batch-vs-row pipeline "
-        "sweep (default 100000,1000000; the acceptance gate is >= 1.3x "
-        "at the 10^5 point)")
-    parser.add_argument(
-        "--batch-headroom-rows", type=int,
-        default=int(os.environ.get("REPRO_BENCH_HEADROOM_ROWS") or 60000),
-        help="row count for the composed-join batch headroom point "
-        "(CI batch-smoke asserts batch >= row here)")
     parser.add_argument(
         "--storage-rows", type=int,
         default=int(os.environ.get("REPRO_BENCH_STORAGE_ROWS") or 0) or None,
@@ -325,36 +313,6 @@ def main(argv=None) -> int:
         "summary": verify_summary,
     }
 
-    # Batch-execution sweep (Layer 8): the vectorized plan protocol vs the
-    # row protocol on the join-free operator pipeline (10^5-10^6 rows) plus
-    # the composed Fig-12 join at the headroom point.  Both double as
-    # equivalence checks — they raise on any row or counter divergence.
-    batch_rows = [int(r) for r in str(args.batch_rows).split(",") if r]
-    print(f"\nbatch execution (pipeline rows={batch_rows}):")
-    pipeline_block = pipeline_sweep(batch_rows, repeats=args.repeats)
-    for rec in pipeline_block["records"]:
-        print(f"  rows={rec['rows']}: row={rec['row_seconds']:.3f}s "
-              f"batch={rec['best_batch_seconds']:.3f}s "
-              f"speedup={rec['speedup']:.2f}x")
-    print(f"batch execution (aggregate rows={batch_rows}):")
-    aggregate_block = aggregate_sweep(batch_rows, repeats=args.repeats)
-    for rec in aggregate_block["records"]:
-        print(f"  rows={rec['rows']}: row={rec['row_seconds']:.3f}s "
-              f"batch={rec['best_batch_seconds']:.3f}s "
-              f"speedup={rec['speedup']:.2f}x")
-    print(f"batch headroom (fig12 join, {args.batch_headroom_rows} rows):")
-    headroom_block = fig12_headroom(
-        args.batch_headroom_rows, repeats=args.repeats
-    )
-    print(f"  row={headroom_block['row_seconds']:.3f}s "
-          f"batch={headroom_block['batch_seconds']:.3f}s "
-          f"speedup={headroom_block['speedup']:.2f}x")
-    batch_block = {
-        "pipeline": pipeline_block,
-        "aggregate": aggregate_block,
-        "fig12_headroom": headroom_block,
-    }
-
     speedups = {
         f"{base}/{cont}": speedup_table(runner.records, base, cont)
         for base, cont in SPEEDUP_PAIRS
@@ -371,7 +329,6 @@ def main(argv=None) -> int:
         speedups=speedups,
         parallel=scaling_records,
         verify_engine=verify_block,
-        batch_exec=batch_block,
         storage=storage_block,
     )
     # Atomic publish: a reader (or an interrupted run) never observes a

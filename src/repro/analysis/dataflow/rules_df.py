@@ -12,9 +12,9 @@ parallel kernel, or placed into a result constructor (``Batch``,
 ``BatchStream``, ``ColumnarRelation``, ``Relation``) anywhere.
 
 **Kernel purity (DF302-DF304)** — a *kernel* (a function shipped to a
-``ProcessPoolExecutor``, a pool ``initializer=``, or a vectorized batch
-method such as ``bind_select``/``batches``/``_run_batched`` on a
-``batch_protocol``/``_VectorizedNode`` class) must not mutate its
+``ProcessPoolExecutor``, a pool ``initializer=``, or a
+``batches``/``bind_select`` method of a class that defines ``batches`` —
+a plan node's one evaluation method) must not mutate its
 parameters in place (DF302), must not write module globals or nonlocals
 (DF303), and must be picklable — no lambdas or nested closures shipped
 across the process boundary (DF304).
@@ -76,10 +76,8 @@ DF_RULES: Dict[str, Tuple[str, str]] = {
 #: Executor/pool methods whose callable argument crosses a process
 #: boundary (first positional argument is the shipped function).
 _POOL_METHODS = frozenset({"submit", "map", "apply_async", "imap", "imap_unordered"})
-#: Methods that ARE the vectorized kernel surface on batch-protocol nodes.
-_KERNEL_METHODS = frozenset({"bind_select", "batches", "_run_batched"})
-#: Base-class names marking a class as a vectorized plan node.
-_VECTOR_BASES = frozenset({"_VectorizedNode", "VectorizedNode"})
+#: Methods that ARE the kernel surface of a plan-node class.
+_KERNEL_METHODS = frozenset({"bind_select", "batches"})
 
 
 @dataclass
@@ -104,29 +102,12 @@ def _pool_callable_args(call: ast.Call) -> List[ast.expr]:
 
 
 def _batch_class(node: ast.ClassDef) -> bool:
-    for base in node.bases:
-        name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
-        if name in _VECTOR_BASES:
-            return True
-    for item in node.body:
-        targets: List[ast.expr] = []
-        if isinstance(item, ast.Assign):
-            targets = item.targets
-            value = item.value
-        elif isinstance(item, ast.AnnAssign) and item.value is not None:
-            targets = [item.target]
-            value = item.value
-        else:
-            continue
-        for t in targets:
-            if (
-                isinstance(t, ast.Name)
-                and t.id == "batch_protocol"
-                and isinstance(value, ast.Constant)
-                and value.value == "batch"
-            ):
-                return True
-    return False
+    """A plan-node class: one that defines the ``batches`` method."""
+    return any(
+        isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and item.name == "batches"
+        for item in node.body
+    )
 
 
 class DataflowAnalyzer:
@@ -142,7 +123,7 @@ class DataflowAnalyzer:
         self.modules: List[_Module] = []
         #: basenames of functions shipped to pools anywhere in the run.
         self.kernel_names: Set[str] = set()
-        #: qualnames ("Class.method") of vectorized kernel methods.
+        #: qualnames ("Class.method") of plan-node kernel methods.
         self.kernel_quals: Set[str] = set()
         self.function_count = 0
 

@@ -26,11 +26,6 @@ namespace (shared with :mod:`repro.analysis.invariants`):
 ``SSJ111`` an SSJoin input subtree provably lacks the normalized-set
 columns (``a``, ``b``).
 ``SSJ112`` unknown physical implementation name on an SSJoin node.
-``SSJ113`` batch/row protocol mix without a boundary adapter — a node
-declares ``batch_protocol = "batch"`` but inherits the base (row)
-:meth:`PlanNode.batches`, or ships a vectorized :meth:`batches` kernel
-while declaring the row protocol, so root execution and streamed
-consumption would run different kernels. Checked for **every** node.
 
 Subtrees with unknown schemas (opaque :class:`Custom`/:class:`Groupwise`
 nodes whose output can be neither declared nor probed) are skipped
@@ -176,7 +171,6 @@ def _walk(
 ) -> Optional[Schema]:
     """Verify *node*, returning its output schema (None if unknown)."""
     location = f"{path}{node.label()}"
-    _check_batch_protocol(node, report, location)
 
     child_schemas: List[Optional[Schema]] = []
     for i, child in enumerate(node.children):
@@ -336,45 +330,6 @@ def _walk(
         _check_ssjoin_node(node, child_schemas, report, location)
 
     return node.output_schema(catalog)
-
-
-def _check_batch_protocol(
-    node: PlanNode, report: AnalysisReport, location: str
-) -> None:
-    """SSJ113: the node's protocol declaration must match its kernels.
-
-    The base :meth:`PlanNode.batches` is the row->batch boundary adapter;
-    a node declaring ``batch_protocol = "batch"`` while inheriting it
-    claims vectorization it does not have (EXPLAIN and batch-protocol
-    parents would be misled), and a ``"row"`` node shipping its own
-    ``batches`` kernel executes different code as a plan root than as a
-    streamed child — a protocol mix with no adapter guaranteeing the two
-    agree.
-    """
-    cls = type(node)
-    declares_batch = getattr(node, "batch_protocol", "row") == "batch"
-    has_kernel = cls.batches is not PlanNode.batches
-    if declares_batch and not has_kernel:
-        report.add(
-            "SSJ113",
-            SEVERITY_ERROR,
-            f"{cls.__name__} declares batch_protocol='batch' but inherits "
-            "the row boundary adapter (no batches() kernel)",
-            location,
-            hint="override batches() with a vectorized kernel, or declare "
-            "batch_protocol='row' and let the base adapter bridge it",
-        )
-    elif not declares_batch and has_kernel:
-        report.add(
-            "SSJ113",
-            SEVERITY_ERROR,
-            f"{cls.__name__} overrides batches() but declares "
-            "batch_protocol='row', so root execution bypasses its "
-            "vectorized kernel",
-            location,
-            hint="declare batch_protocol='batch' (and override _run_batched "
-            "to fold the stream) so both paths run the same kernel",
-        )
 
 
 def _check_ssjoin_node(

@@ -182,7 +182,6 @@ def render_json(
     speedups: Optional[Dict[str, Dict[float, float]]] = None,
     parallel: Optional[Sequence[SweepRecord]] = None,
     verify_engine: Optional[Dict[str, Any]] = None,
-    batch_exec: Optional[Dict[str, Any]] = None,
     storage: Optional[Dict[str, Any]] = None,
 ) -> str:
     """The machine-readable sweep artifact (``repro-bench/v1``).
@@ -197,10 +196,8 @@ def render_json(
     *verify_engine* (the engine-on vs engine-off comparison assembled by
     the core bench) adds it verbatim as a top-level ``verify_engine``
     block: per-threshold prune counters and merge-reduction/speedup
-    figures. Passing *batch_exec* (the batch-vs-row sweep assembled by
-    :mod:`repro.bench.batch_bench`) likewise adds a top-level
-    ``batch_exec`` block, and *storage* (the cold-vs-warm-start
-    comparison from :mod:`repro.bench.storage_bench`) a top-level
+    figures. Passing *storage* (the cold-vs-warm-start comparison from
+    :mod:`repro.bench.storage_bench`) likewise adds a top-level
     ``storage`` block. The format is documented in EXPERIMENTS.md;
     CI uploads these as artifacts.
     """
@@ -227,8 +224,6 @@ def render_json(
         }
     if verify_engine is not None:
         doc["verify_engine"] = dict(verify_engine)
-    if batch_exec is not None:
-        doc["batch_exec"] = dict(batch_exec)
     if storage is not None:
         doc["storage"] = dict(storage)
     return json.dumps(doc, indent=2, sort_keys=False)

@@ -173,40 +173,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="time the vectorized batch plan path against the row path",
+        help="run the Fig-12 threshold sweep and print its result digests",
     )
-    bench.add_argument("--rows", type=int, default=100000,
-                       help="synthetic pipeline input rows (default 100000)")
     bench.add_argument(
-        "--plan", choices=("pipeline", "aggregate", "fig12"),
-        default="pipeline",
-        help="'pipeline' times scan/select/extend/project; 'aggregate' "
-        "times the GROUP BY + ORDER BY plan over a materialized "
-        "SSJoin-result-shaped relation; 'fig12' runs the Fig-12 "
-        "threshold sweep from --input (in-memory) or --store (a page "
-        "file ingested with `repro ingest`) and prints per-threshold "
-        "pair counts, result digests and prep time",
+        "--plan", choices=("fig12",), default="fig12",
+        help="'fig12' runs the Fig-12 threshold sweep from --input "
+        "(in-memory) or --store (a page file ingested with `repro "
+        "ingest`) and prints per-threshold pair counts, result digests "
+        "and prep time",
     )
     bench.add_argument(
         "--input", default=None, metavar="FILE",
-        help="fig12 only: line-delimited strings, prepared in memory",
+        help="line-delimited strings, prepared in memory",
     )
     bench.add_argument(
         "--store", default=None, metavar="FILE.rpsf",
-        help="fig12 only: run from an ingested page file (zero re-encode)",
+        help="run from an ingested page file (zero re-encode)",
     )
     bench.add_argument(
         "--workers", type=_parse_workers, default=None, metavar="N|auto",
-        help="fig12 only: parallel worker processes",
+        help="parallel worker processes",
     )
-    bench.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="morsel capacity for the batch run; omit for the cost-model "
-        "default (PARALLEL_TASK/(JOIN_ROW*1%%) rounded to a power of two, "
-        "clamped to 1k-16k)",
-    )
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="keep the fastest of K runs per path")
 
     ing = sub.add_parser(
         "ingest",
@@ -478,44 +465,6 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.plan == "fig12":
-        return _cmd_bench_fig12(args)
-    from repro.bench.batch_bench import (
-        aggregate_plan,
-        orders_relation,
-        pipeline_plan,
-        ssjoin_result_relation,
-        time_plan,
-    )
-    from repro.relational.batch import default_batch_size
-    from repro.relational.catalog import Catalog
-    from repro.relational.context import ExecutionContext
-
-    catalog = Catalog()
-    if args.plan == "aggregate":
-        catalog.register("pairs", ssjoin_result_relation(args.rows))
-        plan = aggregate_plan()
-    else:
-        catalog.register("orders", orders_relation(args.rows))
-        plan = pipeline_plan()
-    size = args.batch_size
-    resolved = ExecutionContext(batch_size=size).resolved_batch_size()
-    row_seconds, row_result = time_plan(plan, catalog, 0, repeats=args.repeats)
-    batch_seconds, batch_result = time_plan(
-        plan, catalog, size, repeats=args.repeats
-    )
-    if tuple(batch_result.rows) != tuple(row_result.rows):
-        print("error: batch path diverged from row path", file=sys.stderr)
-        return 1
-    speedup = row_seconds / batch_seconds if batch_seconds > 0 else float("inf")
-    print(f"rows={args.rows} result_rows={len(row_result)} "
-          f"batch_size={resolved} (default={default_batch_size()})")
-    print(f"row path:   {row_seconds:.4f}s")
-    print(f"batch path: {batch_seconds:.4f}s  ({speedup:.2f}x)")
-    return 0
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     rows = generate_addresses(
         CustomerConfig(num_rows=args.rows, seed=args.seed,
@@ -537,7 +486,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "sql": _cmd_sql,
         "explain": _cmd_explain,
         "analyze": _cmd_analyze,
-        "bench": _cmd_bench,
+        "bench": _cmd_bench_fig12,
         "ingest": _cmd_ingest,
         "tables": _cmd_tables,
         "generate": _cmd_generate,

@@ -230,7 +230,7 @@ def _canonical_relation(pairs: Relation) -> Relation:
     """THE canonical-order boundary adapter: every ``parallel_ssjoin``
     return path — sequential fallback and shard merge alike — funnels
     through this one function, so no backend re-materializes row tuples
-    for relations that are already columnar (see SSJ113)."""
+    for relations that are already columnar."""
     if isinstance(pairs, ColumnarRelation):
         return _sorted_columns(pairs.columns)
     return _sorted_relation(list(pairs.rows))

@@ -13,10 +13,17 @@ HAVING filter expressed over ``group keys ++ aggregate outputs``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import PlanError
-from repro.relational.batch import Batch, BatchStream
+from repro.relational.batch import (
+    ONE_MORSEL,
+    Batch,
+    BatchStream,
+    columnar_relation_from_batches,
+    iter_batches_from_columns,
+    stream_relation,
+)
 from repro.relational.expressions import Expr
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
@@ -156,44 +163,13 @@ def group_by(
     >>> sorted(out.rows)
     [('x', 3), ('y', 5)]
     """
-    if not keys and not aggregates:
-        raise PlanError("group_by needs at least one key or aggregate")
-    key_pos = relation.schema.positions(list(keys))
-
-    input_fns: List[Optional[Callable]] = []
-    for agg in aggregates:
-        input_fns.append(None if agg.input_expr is None else agg.input_expr.bind(relation.schema))
-
-    # Bucket rows; keep insertion order for deterministic output.
-    groups: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in relation.rows:
-        key = tuple(row[p] for p in key_pos)
-        groups.setdefault(key, []).append(row)
-    if not keys and not groups:
-        # SQL: a global aggregate over an empty input yields one row
-        # (COUNT(*) = 0, SUM/MIN/MAX/AVG = NULL).
-        groups[()] = []
-
-    out_schema = Schema(
-        [relation.schema.column(k) for k in keys] + [Column(a.name) for a in aggregates]
+    stream = stream_relation(relation, ONE_MORSEL)
+    return columnar_relation_from_batches(
+        group_by_stream(stream, keys, aggregates, having=having, batch_size=ONE_MORSEL)
     )
-    having_fn = having.bind(out_schema) if having is not None else None
-
-    out_rows: List[Tuple[Any, ...]] = []
-    for key, rows in groups.items():
-        agg_values = []
-        for agg, fn in zip(aggregates, input_fns):
-            if fn is None:
-                agg_values.append(agg.fn(rows))
-            else:
-                agg_values.append(agg.fn([fn(r) for r in rows]))
-        out_row = key + tuple(agg_values)
-        if having_fn is None or having_fn(out_row):
-            out_rows.append(out_row)
-    return Relation(out_schema, out_rows)
 
 
-# -- vectorized (batch-stream) grouped aggregation -----------------------------
+# -- the grouped-aggregation kernel ---------------------------------------------
 #
 # Hash aggregation over columns: each morsel is mapped to per-row group
 # ids once (shared by every aggregate), then each aggregate updates flat
@@ -201,14 +177,11 @@ def group_by(
 # column. Finalize is a single pass emitting flat output columns — no row
 # tuples and no per-group row buffering for the built-in kinds.
 #
-# Bit-identity with :func:`group_by` is load-bearing: groups are numbered
-# in first-occurrence order (same as the row path's insertion-ordered
-# dict), sums accumulate left-to-right from int 0 (identical to
-# ``sum(kept)``), min/max keep the first extremal value on ties, and the
-# streaming mean carries the exact (Σ, n) pair and divides once at
-# finalize — numerically stable in the sense that no per-row running-mean
-# division ever happens, while still reproducing ``sum(kept)/len(kept)``
-# to the bit.
+# The arithmetic is pinned (tests hold results to the float bit): groups
+# are numbered in first-occurrence order, sums accumulate left-to-right
+# from int 0 (identical to ``sum(kept)``), min/max keep the first
+# extremal value on ties, and the mean carries the exact (Σ, n) pair and
+# divides once at finalize, reproducing ``sum(kept)/len(kept)``.
 
 #: Sentinel distinguishing "no value seen yet" from a NULL input.
 _MISSING = object()
@@ -352,13 +325,12 @@ def group_by_stream(
     having: Optional[Expr] = None,
     batch_size: int = 4096,
 ) -> BatchStream:
-    """Vectorized :func:`group_by` over a morsel stream.
+    """:func:`group_by` over a morsel stream.
 
     A pipeline breaker: the generator consumes the whole child stream
     into the accumulator arrays, finalizes once, applies HAVING as a
     selection vector over the flat output columns, and emits the result
-    in *batch_size* morsels. Output rows, order and types are
-    bit-identical to the row path.
+    in *batch_size* morsels, groups in first-occurrence order.
     """
     if not keys and not aggregates:
         raise PlanError("group_by needs at least one key or aggregate")
@@ -379,6 +351,7 @@ def group_by_stream(
             index[()] = 0
             key_store.append(())
         single_key = len(key_pos) == 1
+        get = index.get
         for batch in stream:
             n = batch.num_rows
             if n == 0:
@@ -386,7 +359,6 @@ def group_by_stream(
             if key_pos:
                 gids: List[int] = []
                 append = gids.append
-                get = index.get
                 if single_key:
                     keys_iter: Any = batch.columns[key_pos[0]]
                 else:
@@ -403,6 +375,9 @@ def group_by_stream(
             for state in states:
                 state.update(gids, ngroups, batch)
 
+        # The key -> gid table is as large as the output; drop it before
+        # the output columns are built.
+        del index, get
         ngroups = len(key_store)
         if ngroups and states:
             # The pre-seeded global group may never have seen a batch
@@ -411,24 +386,16 @@ def group_by_stream(
             pad = Batch(schema, tuple([] for _ in schema), num_rows=0)
             for state in states:
                 state.update((), ngroups, pad)
-        if key_pos:
-            if single_key:
-                key_cols: List[List[Any]] = [key_store]
-            elif key_store:
-                key_cols = [list(c) for c in zip(*key_store)]
-            else:
-                key_cols = [[] for _ in key_pos]
+        if single_key:
+            key_cols: List[List[Any]] = [key_store]
         else:
-            key_cols = []
+            key_cols = [[key[i] for key in key_store] for i in range(len(key_pos))]
+        del key_store
         out_cols = key_cols + [state.finalize() for state in states]
         if having_sel is not None and ngroups:
             sel = having_sel(Batch(out_schema, out_cols, num_rows=ngroups))
             if len(sel) < ngroups:
                 out_cols = [[c[i] for i in sel] for c in out_cols]
-                ngroups = len(sel)
-        for lo in range(0, ngroups, batch_size):
-            yield Batch(
-                out_schema, tuple(c[lo : lo + batch_size] for c in out_cols)
-            )
+        yield from iter_batches_from_columns(out_schema, out_cols, batch_size)
 
     return BatchStream(out_schema, gen(), stream.name)

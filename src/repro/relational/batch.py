@@ -1,33 +1,25 @@
-"""Columnar batches: the morsel currency of the vectorized plan path.
+"""Columnar batches: the morsel currency every relational operator speaks.
 
-The row protocol evaluates operators one Python tuple at a time — an
-interpreter dispatch, a closure call and a fresh tuple allocation per row
-per operator. The batch protocol instead flows **morsels**: fixed-capacity
-:class:`Batch` objects holding parallel column lists under a shared
-:class:`~repro.relational.schema.Schema`. Vectorized operator kernels then
-amortize dispatch over thousands of rows (``list(map(fn, col_a, col_b))``
-runs the loop in C), pass untouched columns through by reference, and
-compact filters via selection vectors instead of materializing per-row.
+Operators flow **morsels**: fixed-capacity :class:`Batch` objects holding
+parallel column lists under a shared
+:class:`~repro.relational.schema.Schema`. Operator kernels amortize
+dispatch over thousands of rows (``list(map(fn, col_a, col_b))`` runs the
+loop in C), pass untouched columns through by reference, and compact
+filters via selection vectors instead of materializing per-row.
 
-The module also provides the **boundary adapters** that keep the two
-protocols interchangeable — :func:`iter_batches_from_rows` chops a
-materialized relation into morsels, :func:`relation_from_batches` folds a
-batch stream back into an immutable :class:`Relation` — and
-:class:`ColumnarRelation`, a Relation that *carries* its columns and only
-materializes row tuples on first access, so the SSJoin physical layer can
-emit ``(a_r, a_s, overlap, norm_r, norm_s)`` straight from the encoded
-merge without a tuple round-trip.
-
-Batch capacity defaults to :func:`default_batch_size`, derived from the
-cost model: the per-batch dispatch overhead (one pool-task unit,
-``CostModel.PARALLEL_TASK``) is amortized to under 1% of the per-row work
-it rides on (``CostModel.JOIN_ROW``), then rounded up to a power of two —
-which lands on 4096, inside the classic 4–16k morsel window.
+The module also provides the two ends of every kernel call —
+:func:`stream_relation` chops a materialized relation into morsels,
+:func:`columnar_relation_from_batches` folds a batch stream back into a
+relation — and :class:`ColumnarRelation`, a Relation that *carries* its
+columns and only materializes row tuples on first access, so the SSJoin
+physical layer can emit ``(a_r, a_s, overlap, norm_r, norm_s)`` straight
+from the encoded merge without a tuple round-trip.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+import sys
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -37,48 +29,20 @@ __all__ = [
     "BatchStream",
     "ColumnarRelation",
     "DEFAULT_BATCH_SIZE",
+    "ONE_MORSEL",
     "columnar_relation_from_batches",
-    "default_batch_size",
     "iter_batches_from_columns",
     "iter_batches_from_rows",
-    "relation_from_batches",
     "stream_relation",
 ]
 
-#: Fallback morsel capacity when no cost model is available.
+#: Morsel capacity of the plan path: large enough that per-morsel
+#: dispatch is noise against per-row work, small enough to stay in cache.
 DEFAULT_BATCH_SIZE = 4096
 
-#: Per-batch dispatch overhead may consume at most this fraction of the
-#: per-row work it is amortized over (see :func:`default_batch_size`).
-_DISPATCH_BUDGET = 0.01
-
-_MIN_BATCH_SIZE = 1024
-_MAX_BATCH_SIZE = 16384
-
-
-def default_batch_size(cost_model: Any = None) -> int:
-    """Morsel capacity derived from the cost model.
-
-    A batch boundary costs roughly one pool-task dispatch
-    (``PARALLEL_TASK`` row-units: kernel lookup, bind, loop setup); each
-    row in the batch does at least ``JOIN_ROW`` units of work. Choosing
-    ``n >= PARALLEL_TASK / (JOIN_ROW * 1%)`` keeps the boundary overhead
-    under 1%, and rounding up to a power of two keeps slice arithmetic
-    cheap. Clamped to the 1k–16k morsel window so an exotic cost model
-    cannot push batches out of cache-friendly territory.
-    """
-    try:
-        from repro.core.optimizer import CostModel
-    except Exception:  # pragma: no cover - circular-import guard only
-        return DEFAULT_BATCH_SIZE
-    model = cost_model if cost_model is not None else CostModel
-    task = float(getattr(model, "PARALLEL_TASK", 40.0))
-    row = float(getattr(model, "JOIN_ROW", 1.0))
-    if task <= 0 or row <= 0:
-        return DEFAULT_BATCH_SIZE
-    target = task / (row * _DISPATCH_BUDGET)
-    size = 1 << max(0, int(target - 1)).bit_length()
-    return max(_MIN_BATCH_SIZE, min(_MAX_BATCH_SIZE, size))
+#: A capacity no input exceeds: the functional API (``hash_join(r, s)``)
+#: hands each kernel its whole input as a single morsel.
+ONE_MORSEL = sys.maxsize
 
 
 class Batch:
@@ -159,19 +123,24 @@ class BatchStream:
 
     The schema and name ride alongside the iterator so a stream of zero
     batches still folds back into a correctly-shaped empty relation.
+    *source* is set when the stream is nothing but a materialized
+    relation chopped into morsels (:func:`stream_relation`), so a plan
+    whose root is such a node hands that relation back instead of a copy.
     """
 
-    __slots__ = ("schema", "batches", "name")
+    __slots__ = ("schema", "batches", "name", "source")
 
     def __init__(
         self,
         schema: Schema,
         batches: Iterable[Batch],
         name: Optional[str] = None,
+        source: Optional[Relation] = None,
     ) -> None:
         self.schema = schema
         self.batches = batches
         self.name = name
+        self.source = source
 
     def __iter__(self) -> Iterator[Batch]:
         return iter(self.batches)
@@ -182,7 +151,7 @@ class ColumnarRelation(Relation):
 
     The SSJoin physical layer and the verify engine produce their output
     as five parallel lists; wrapping them here keeps the columnar form
-    available to the batch path (:attr:`columns`) while every row-protocol
+    available to the operator kernels (:attr:`columns`) while every row
     consumer (``.rows``, iteration, ``__eq__``) still sees an ordinary
     Relation — the tuples are built once, on first access.
     """
@@ -226,6 +195,9 @@ class ColumnarRelation(Relation):
     def column_values(self, name: str) -> Tuple[Any, ...]:
         return tuple(self.columns[self.schema.position(name)])
 
+    def _reschema(self, schema: Schema, name: Optional[str]) -> "ColumnarRelation":
+        return ColumnarRelation(schema, self.columns, name, self._num_rows)
+
     def __reduce__(self) -> Tuple[Any, ...]:
         # The default slot pickling would try to restore through the
         # read-only ``rows`` property; rebuild from columns instead.
@@ -262,7 +234,8 @@ def iter_batches_from_columns(
     """Slice parallel columns into morsels — no row tuples are built.
 
     *num_rows* is only consulted for zero-column inputs, where the row
-    count cannot be derived from the (absent) columns.
+    count cannot be derived from the (absent) columns. An input that
+    fits one morsel is yielded as is: slicing would copy every column.
     """
     if not columns:
         n = 0 if num_rows is None else num_rows
@@ -270,6 +243,9 @@ def iter_batches_from_columns(
             yield Batch(schema, (), num_rows=min(batch_size, n - lo))
         return
     n = len(columns[0])
+    if 0 < n <= batch_size:
+        yield Batch(schema, columns)
+        return
     for lo in range(0, n, batch_size):
         yield Batch(schema, tuple(col[lo : lo + batch_size] for col in columns))
 
@@ -285,8 +261,8 @@ def stream_relation(relation: Relation, batch_size: int) -> BatchStream:
     """
     stored = getattr(relation, "iter_stored_batches", None)
     if stored is not None:
-        return BatchStream(relation.schema, stored(batch_size), relation.name)
-    if isinstance(relation, ColumnarRelation):
+        batches = stored(batch_size)
+    elif isinstance(relation, ColumnarRelation):
         batches = iter_batches_from_columns(
             relation.schema, relation.columns, batch_size, num_rows=len(relation)
         )
@@ -294,16 +270,15 @@ def stream_relation(relation: Relation, batch_size: int) -> BatchStream:
         batches = iter_batches_from_rows(
             relation.schema, relation.rows, batch_size
         )
-    return BatchStream(relation.schema, batches, relation.name)
+    return BatchStream(relation.schema, batches, relation.name, source=relation)
 
 
 def columnar_relation_from_batches(stream: BatchStream) -> "ColumnarRelation":
     """Fold a batch stream into a :class:`ColumnarRelation`.
 
-    Batches are concatenated in arrival order, so the (lazily built) row
-    tuples come out exactly as the row protocol would order them. The
-    single-batch case — every result under one morsel — adopts the
-    batch's columns by reference.
+    Batches are concatenated in arrival order. The single-batch case —
+    every result under one morsel — adopts the batch's columns by
+    reference.
     """
     it = iter(stream)
     first = next(it, None)
@@ -331,16 +306,3 @@ def columnar_relation_from_batches(stream: BatchStream) -> "ColumnarRelation":
 def _chain(head: Batch, rest: Iterator[Batch]) -> Iterator[Batch]:
     yield head
     yield from rest
-
-
-def relation_from_batches(stream: BatchStream) -> Relation:
-    """Fold a batch stream back into an immutable row relation.
-
-    This is the boundary adapter that keeps ``plan.execute(...)`` results
-    bit-identical with the row path: batches are transposed in arrival
-    order, so row order is exactly what the row protocol would produce.
-    """
-    rows: List[Tuple[Any, ...]] = []
-    for batch in stream:
-        rows.extend(batch.to_rows())
-    return Relation(stream.schema, rows, name=stream.name)

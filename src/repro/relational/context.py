@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Any, Optional, Union
 
+from repro.errors import PlanError
+from repro.relational.batch import DEFAULT_BATCH_SIZE
 from repro.relational.catalog import Catalog
 
 __all__ = ["ExecutionContext"]
@@ -54,11 +56,9 @@ class ExecutionContext:
         Run the static SSJoin invariant verifier (SSJ1xx rules) before
         executing any :class:`SSJoinNode` in the plan.
     batch_size:
-        Morsel capacity of the vectorized plan path. ``None`` (default)
-        resolves via :func:`repro.relational.batch.default_batch_size`
-        from the context's cost model; ``0`` disables batching and runs
-        the legacy row-at-a-time protocol; any positive int is used
-        verbatim (the equivalence tests sweep 1 / 7 / 4096).
+        Morsel capacity of the plan path, ``>= 1``. ``None`` (default)
+        means :data:`repro.relational.batch.DEFAULT_BATCH_SIZE`; results
+        do not depend on it (the equivalence tests sweep 1 / 7 / 4096).
     """
 
     def __init__(
@@ -80,7 +80,7 @@ class ExecutionContext:
         self.encoding_cache = encoding_cache
         self.verify = verify
         self.batch_size = batch_size
-        self._resolved_batch_size: Optional[int] = None
+        self.resolved_batch_size()  # reject a bad capacity here, not mid-plan
 
     @property
     def metrics(self) -> Any:
@@ -92,19 +92,16 @@ class ExecutionContext:
         return self._metrics
 
     def resolved_batch_size(self) -> int:
-        """The effective morsel capacity: 0 means the row protocol.
-
-        ``batch_size=None`` resolves once per context through the cost
-        model (see :func:`repro.relational.batch.default_batch_size`)
-        and is cached, so per-node protocol dispatch stays cheap.
-        """
-        if self.batch_size is not None:
-            return max(0, int(self.batch_size))
-        if self._resolved_batch_size is None:
-            from repro.relational.batch import default_batch_size
-
-            self._resolved_batch_size = default_batch_size(self.cost_model)
-        return self._resolved_batch_size
+        """The effective morsel capacity (always ``>= 1``)."""
+        if self.batch_size is None:
+            return DEFAULT_BATCH_SIZE
+        size = int(self.batch_size)
+        if size < 1:
+            raise PlanError(
+                f"batch_size is the morsel capacity and must be >= 1, "
+                f"got {self.batch_size!r}"
+            )
+        return size
 
     @classmethod
     def of(

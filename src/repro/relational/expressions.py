@@ -78,8 +78,8 @@ class Expr:
         """Compile into ``batch -> selection vector`` (surviving indices).
 
         The fallback evaluates the whole expression as a column and
-        enumerates the truthy positions — the same truthiness rule the
-        row path's ``if fn(row)`` applies. Comparisons and fused
+        enumerates the truthy positions — the truthiness rule of the
+        scalar ``if fn(row)``. Comparisons and fused
         conjunctions override this with single-pass kernels.
         """
         vf = self.bind_batch(schema)

@@ -8,6 +8,14 @@ baseline the paper argues against.
 All equi-joins produce the concatenated schema, with *both* sides' columns
 prefixed when a prefix pair is supplied — mirroring how SQL disambiguates
 ``R.B = S.B`` outputs.
+
+Each equi-join has one implementation, a kernel over morsel streams
+(``*_stream``): both inputs accumulate into flat column arrays, matching
+produces two parallel *index vectors* (one per side, with repeats), and
+each output column is a single C-driven gather ``[col[i] for i in idx]`` —
+no row tuples anywhere. :func:`hash_join`, :func:`merge_join` and
+:func:`left_outer_join` hand the kernel their whole inputs as one morsel
+each. The nested-loop family takes row callables and works on row tuples.
 """
 
 from __future__ import annotations
@@ -20,9 +28,11 @@ JoinKeys = Union[str, Sequence[Union[str, Tuple[str, str]]]]
 
 from repro.errors import PlanError
 from repro.relational.batch import (
-    Batch,
+    ONE_MORSEL,
     BatchStream,
+    columnar_relation_from_batches,
     iter_batches_from_columns,
+    stream_relation,
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -92,34 +102,12 @@ def _resolve_keys(keys: JoinKeys) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     return tuple(left), tuple(right)
 
 
-def _prefixed_pair(
-    left: Relation, right: Relation, prefixes: Optional[Tuple[str, str]]
-) -> Tuple[Relation, Relation]:
-    if prefixes is not None:
-        lp, rp = prefixes
-        return left.prefixed(lp), right.prefixed(rp)
-    # No prefixes: disambiguate clashing right-side names with _2/_3/...
-    taken = set(left.schema.names)
-    mapping = {}
-    for name in right.schema.names:
-        if name in taken:
-            n = 2
-            while f"{name}_{n}" in taken:
-                n += 1
-            mapping[name] = f"{name}_{n}"
-            taken.add(f"{name}_{n}")
-        else:
-            taken.add(name)
-    return left, (right.rename(mapping) if mapping else right)
-
-
 def joined_schema(
     left: Schema, right: Schema, prefixes: Optional[Tuple[str, str]]
 ) -> Schema:
-    """The output schema every equi-join here produces: ``left ++ right``
-    with both sides qualified when *prefixes* is given, clashing
-    right-side names ``_2``/``_3``-suffixed otherwise (the schema-level
-    twin of :func:`_prefixed_pair`)."""
+    """The output schema every join here produces: ``left ++ right`` with
+    both sides qualified when *prefixes* is given, clashing right-side
+    names ``_2``/``_3``-suffixed otherwise."""
     if prefixes is not None:
         lp, rp = prefixes
         return left.prefixed(lp).concat(right.prefixed(rp))
@@ -135,6 +123,31 @@ def joined_schema(
         taken.add(name)
         renamed.append(col.renamed(name))
     return left.concat(Schema(renamed))
+
+
+def _run_equi_join(
+    kernel: Callable[..., BatchStream],
+    left: Relation,
+    right: Relation,
+    keys: JoinKeys,
+    prefixes: Optional[Tuple[str, str]],
+    counters: Optional[JoinCounters],
+    probes: int,
+) -> Relation:
+    """Run a ``*_stream`` join kernel over two whole relations."""
+    out = columnar_relation_from_batches(
+        kernel(
+            stream_relation(left, ONE_MORSEL),
+            stream_relation(right, ONE_MORSEL),
+            keys,
+            prefixes=prefixes,
+            batch_size=ONE_MORSEL,
+        )
+    )
+    if counters is not None:
+        counters.probes += probes
+        counters.output_rows += len(out)
+    return out
 
 
 def hash_join(
@@ -158,43 +171,8 @@ def hash_join(
         Optional ``(left_prefix, right_prefix)``; when given, output columns
         are qualified, e.g. ``("R", "S")`` yields ``R.B`` / ``S.B``.
     """
-    lkeys, rkeys = _resolve_keys(keys)
-    lpos = left.schema.positions(lkeys)
-    rpos = right.schema.positions(rkeys)
-
-    build_is_left = len(left) <= len(right)
-    if build_is_left:
-        build, probe, bpos, ppos = left, right, lpos, rpos
-    else:
-        build, probe, bpos, ppos = right, left, rpos, lpos
-
-    table: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in build.rows:
-        key = tuple(row[p] for p in bpos)
-        if any(v is None for v in key):
-            continue  # SQL semantics: NULL never matches in an equi-join
-        table.setdefault(key, []).append(row)
-
-    out: List[Tuple[Any, ...]] = []
-    for row in probe.rows:
-        if counters is not None:
-            counters.probes += 1
-        key = tuple(row[p] for p in ppos)
-        if any(v is None for v in key):
-            continue
-        matches = table.get(key)
-        if not matches:
-            continue
-        if build_is_left:
-            out.extend(m + row for m in matches)
-        else:
-            out.extend(row + m for m in matches)
-    if counters is not None:
-        counters.output_rows += len(out)
-
-    lrel, rrel = _prefixed_pair(left, right, prefixes)
-    schema = lrel.schema.concat(rrel.schema)
-    return Relation(schema, out)
+    probes = max(len(left), len(right))
+    return _run_equi_join(hash_join_stream, left, right, keys, prefixes, counters, probes)
 
 
 def merge_join(
@@ -210,50 +188,7 @@ def merge_join(
     optimizer has a genuine physical alternative and so tests can
     cross-validate the two implementations against each other.
     """
-    lkeys, rkeys = _resolve_keys(keys)
-    lpos = left.schema.positions(lkeys)
-    rpos = right.schema.positions(rkeys)
-
-    def sort_key(positions: Sequence[int]) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
-        return lambda row: tuple(row[p] for p in positions)
-
-    lrows = sorted(
-        (r for r in left.rows if not any(r[p] is None for p in lpos)), key=sort_key(lpos)
-    )
-    rrows = sorted(
-        (r for r in right.rows if not any(r[p] is None for p in rpos)), key=sort_key(rpos)
-    )
-
-    out: List[Tuple[Any, ...]] = []
-    i = j = 0
-    nl, nr = len(lrows), len(rrows)
-    while i < nl and j < nr:
-        lk = tuple(lrows[i][p] for p in lpos)
-        rk = tuple(rrows[j][p] for p in rpos)
-        if lk < rk:
-            i += 1
-        elif lk > rk:
-            j += 1
-        else:
-            # Gather the full key group on both sides, emit their product.
-            i2 = i
-            while i2 < nl and tuple(lrows[i2][p] for p in lpos) == lk:
-                i2 += 1
-            j2 = j
-            while j2 < nr and tuple(rrows[j2][p] for p in rpos) == rk:
-                j2 += 1
-            for a in range(i, i2):
-                if counters is not None:
-                    counters.probes += 1
-                la = lrows[a]
-                out.extend(la + rrows[b] for b in range(j, j2))
-            i, j = i2, j2
-    if counters is not None:
-        counters.output_rows += len(out)
-
-    lrel, rrel = _prefixed_pair(left, right, prefixes)
-    schema = lrel.schema.concat(rrel.schema)
-    return Relation(schema, out)
+    return _run_equi_join(merge_join_stream, left, right, keys, prefixes, counters, len(left))
 
 
 def nested_loop_join(
@@ -279,10 +214,7 @@ def nested_loop_join(
                 out.append(lrow + rrow)
     if counters is not None:
         counters.output_rows += len(out)
-
-    lrel, rrel = _prefixed_pair(left, right, prefixes)
-    schema = lrel.schema.concat(rrel.schema)
-    return Relation(schema, out)
+    return Relation(joined_schema(left.schema, right.schema, prefixes), out)
 
 
 def left_outer_join(
@@ -298,34 +230,7 @@ def left_outer_join(
     right. NULL keys never match (as in the inner joins) but the carrying
     left row still survives, per SQL outer-join semantics.
     """
-    lkeys, rkeys = _resolve_keys(keys)
-    lpos = left.schema.positions(lkeys)
-    rpos = right.schema.positions(rkeys)
-
-    table: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in right.rows:
-        key = tuple(row[p] for p in rpos)
-        if any(v is None for v in key):
-            continue
-        table.setdefault(key, []).append(row)
-
-    padding = (None,) * len(right.schema)
-    out: List[Tuple[Any, ...]] = []
-    for row in left.rows:
-        if counters is not None:
-            counters.probes += 1
-        key = tuple(row[p] for p in lpos)
-        matches = None if any(v is None for v in key) else table.get(key)
-        if matches:
-            out.extend(row + m for m in matches)
-        else:
-            out.append(row + padding)
-    if counters is not None:
-        counters.output_rows += len(out)
-
-    lrel, rrel = _prefixed_pair(left, right, prefixes)
-    schema = lrel.schema.concat(rrel.schema)
-    return Relation(schema, out)
+    return _run_equi_join(left_outer_join_stream, left, right, keys, prefixes, counters, len(left))
 
 
 def cross_product(
@@ -359,26 +264,17 @@ def semi_join(
     return Relation(left.schema, kept, name=left.name)
 
 
-# -- vectorized (batch-stream) join kernels ------------------------------------
+# -- the equi-join kernels ------------------------------------------------------
 #
-# The equi-joins above, re-expressed over columns: both inputs accumulate
-# into flat column arrays, matching produces two parallel *index vectors*
-# (one per side, with repeats), and each output column is a single
-# C-driven gather ``[col[i] for i in idx]`` — no row tuples anywhere.
-# Emission order replicates the row kernels exactly (probe-major with
-# build-insertion-ordered matches for hash, sorted key-group products for
-# merge), so folding the stream yields bit-identical relations.
+# Emission order is part of the contract: probe-major with
+# build-insertion-ordered matches for hash, sorted key-group products
+# for merge.
 
 
-def _collect_columns(stream: BatchStream) -> Tuple[List[List[Any]], int]:
-    """Drain a stream into one flat column list per schema column."""
-    cols: List[List[Any]] = [[] for _ in stream.schema]
-    n = 0
-    for batch in stream:
-        n += batch.num_rows
-        for acc, col in zip(cols, batch.columns):
-            acc.extend(col)
-    return cols, n
+def _collect_columns(stream: BatchStream) -> Tuple[Sequence[Sequence[Any]], int]:
+    """Drain a stream into one flat column per schema column."""
+    whole = columnar_relation_from_batches(stream)
+    return whole.columns, len(whole)
 
 
 def _null_free_key_iter(
@@ -464,9 +360,8 @@ def merge_join_stream(
     """Vectorized sort-merge equi-join (see :func:`merge_join`).
 
     Each side argsorts the NULL-filtered row indices by key (stable, so
-    the permutation matches the row kernel's ``sorted``), the merge walks
-    key groups emitting index-vector cross products, and output columns
-    are gathered per side.
+    ties keep input order), the merge walks key groups emitting
+    index-vector cross products, and output columns are gathered per side.
     """
     lkeys, rkeys = _resolve_keys(keys)
     lpos = left.schema.positions(lkeys)
@@ -474,7 +369,7 @@ def merge_join_stream(
     schema = joined_schema(left.schema, right.schema, prefixes)
 
     def order(
-        cols: List[List[Any]], positions: Sequence[int], n: int
+        cols: Sequence[Sequence[Any]], positions: Sequence[int], n: int
     ) -> Tuple[List[int], List[Tuple[Any, ...]]]:
         key_cols = [cols[p] for p in positions]
         idx = [
@@ -531,7 +426,7 @@ def left_outer_join_stream(
 ) -> BatchStream:
     """Vectorized LEFT OUTER equi-join (see :func:`left_outer_join`).
 
-    The right side always builds (as in the row kernel); the left side
+    The right side always builds; the left side
     then **streams** — each left morsel produces its own index vectors
     (build index ``-1`` marking the NULL pad) and is emitted before the
     next is pulled.

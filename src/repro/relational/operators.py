@@ -1,18 +1,26 @@
 """Expression-driven unary relational operators.
 
-:class:`~repro.relational.relation.Relation` has thin callable-based methods;
-this module provides the expression-language counterparts used by plans,
-plus a handful of operators (limit, sample, value counts) that the Relation
-methods do not cover.
+Each operator has one implementation: a kernel over a morsel stream
+(``*_stream``), used as is by the plan nodes of
+:mod:`repro.relational.plan`. The functional ``Relation -> Relation``
+spellings (:func:`select`, :func:`project`, ...) hand the kernel their
+whole input as one morsel and fold its output. Expressions are bound once
+against the stream schema (outside the generators), so unknown-column
+errors surface when the operator is built, not when it is drained.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import PlanError
-from repro.relational.batch import Batch, BatchStream
+from repro.relational.batch import (
+    ONE_MORSEL,
+    Batch,
+    BatchStream,
+    columnar_relation_from_batches,
+    stream_relation,
+)
 from repro.relational.expressions import Expr
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
@@ -38,8 +46,8 @@ __all__ = [
 
 def select(relation: Relation, predicate: Expr) -> Relation:
     """σ — keep rows where the boolean expression *predicate* holds."""
-    fn = predicate.bind(relation.schema)
-    return Relation(relation.schema, [r for r in relation.rows if fn(r)], name=relation.name)
+    stream = stream_relation(relation, ONE_MORSEL)
+    return columnar_relation_from_batches(select_stream(stream, predicate))
 
 
 def project(
@@ -51,49 +59,22 @@ def project(
     Each item of *columns* is either a plain column name (pass-through) or a
     ``(new_name, Expr)`` pair computing a derived column.
     """
-    if columns and all(isinstance(item, str) for item in columns):
-        # Pure column selection — one C-level itemgetter per row instead
-        # of a per-column closure chain (the joins layer projects every
-        # result row through here).
-        positions = [relation.schema.position(item) for item in columns]
-        schema = Schema([Column(n) for n in columns])
-        if len(positions) == 1:
-            single = operator.itemgetter(positions[0])
-            rows = [(single(row),) for row in relation.rows]
-        else:
-            getter = operator.itemgetter(*positions)
-            rows = [getter(row) for row in relation.rows]
-        return Relation(schema, rows, name=relation.name)
-    names: List[str] = []
-    fns = []
-    for item in columns:
-        if isinstance(item, str):
-            pos = relation.schema.position(item)
-            names.append(item)
-            fns.append(lambda row, p=pos: row[p])
-        elif isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], Expr):
-            name, expr = item
-            names.append(name)
-            fns.append(expr.bind(relation.schema))
-        else:
-            raise PlanError(f"cannot interpret projection item {item!r}")
-    schema = Schema([Column(n) for n in names])
-    rows = [tuple(fn(row) for fn in fns) for row in relation.rows]
-    return Relation(schema, rows, name=relation.name)
+    stream = stream_relation(relation, ONE_MORSEL)
+    return columnar_relation_from_batches(project_stream(stream, columns))
 
 
 def extend(relation: Relation, column: str, expr: Expr) -> Relation:
     """Append a derived column computed by *expr*."""
-    fn = expr.bind(relation.schema)
-    schema = relation.schema.extend([Column(column)])
-    rows = [row + (fn(row),) for row in relation.rows]
-    return Relation(schema, rows, name=relation.name)
+    stream = stream_relation(relation, ONE_MORSEL)
+    return columnar_relation_from_batches(extend_stream(stream, column, expr))
 
 
 def distinct(relation: Relation, columns: Optional[Sequence[str]] = None) -> Relation:
     """δ — duplicate elimination, optionally after projecting to *columns*."""
-    target = relation if columns is None else relation.project(list(columns))
-    return target.distinct()
+    stream = stream_relation(relation, ONE_MORSEL)
+    if columns is not None:
+        stream = project_stream(stream, list(columns))
+    return columnar_relation_from_batches(distinct_stream(stream))
 
 
 def split_order_key(key: Any) -> "tuple[Any, bool]":
@@ -113,28 +94,16 @@ def order_by(
     relation: Relation,
     keys: Sequence,
 ) -> Relation:
-    """Sort by a sequence of ``column``/``Expr`` or ``(key, "desc")`` keys.
-
-    Implemented as a stable multi-pass sort (last key first) so mixed
-    ascending/descending orderings are supported without comparator tricks.
-    """
-    rows = list(relation.rows)
-    for key in reversed(list(keys)):
-        target, descending = split_order_key(key)
-        if isinstance(target, Expr):
-            fn = target.bind(relation.schema)
-        else:
-            pos = relation.schema.position(target)
-            fn = lambda row, p=pos: row[p]  # noqa: E731
-        rows.sort(key=fn, reverse=descending)
-    return Relation(relation.schema, rows, name=relation.name)
+    """Sort by a sequence of ``column``/``Expr`` or ``(key, "desc")`` keys."""
+    stream = stream_relation(relation, ONE_MORSEL)
+    return columnar_relation_from_batches(order_by_stream(stream, keys, ONE_MORSEL))
 
 
 def limit(relation: Relation, n: int) -> Relation:
     """Keep the first *n* rows."""
-    if n < 0:
-        raise PlanError(f"limit must be non-negative, got {n}")
-    return Relation(relation.schema, relation.rows[:n], name=relation.name)
+    return columnar_relation_from_batches(
+        limit_stream(stream_relation(relation, ONE_MORSEL), n)
+    )
 
 
 def union_all(*relations: Relation) -> Relation:
@@ -145,15 +114,6 @@ def union_all(*relations: Relation) -> Relation:
     for rel in relations[1:]:
         out = out.union_all(rel)
     return out
-
-
-# -- vectorized (batch-stream) kernels ----------------------------------------
-#
-# These are the morsel-at-a-time counterparts of the row operators above,
-# used by the batch protocol in :mod:`repro.relational.plan`. Expressions
-# are bound once against the stream schema (outside the generators), so
-# unknown-column errors surface at the same point as the row path; each
-# generator then touches whole columns per batch.
 
 
 def select_stream(stream: BatchStream, predicate: Expr) -> BatchStream:
@@ -195,8 +155,8 @@ def project_stream(stream: BatchStream, columns: Sequence) -> BatchStream:
 
         return BatchStream(out_schema, counted(), stream.name)
     if all(isinstance(item, str) for item in columns):
-        positions = [schema.position(item) for item in columns]
-        out_schema = Schema([Column(n) for n in columns])
+        positions = schema.positions(columns)
+        out_schema = schema.project(columns)
 
         def passthrough() -> Iterator[Batch]:
             for batch in stream:
@@ -272,7 +232,7 @@ def distinct_stream(stream: BatchStream) -> BatchStream:
 
     Each morsel contributes a selection vector of first occurrences; a
     batch with no duplicates passes through by reference, a batch of pure
-    repeats is dropped. First-seen order matches ``Relation.distinct``.
+    repeats is dropped. Survivors keep first-seen order.
     """
     schema = stream.schema
 
@@ -309,11 +269,8 @@ def order_by_stream(
     stream: BatchStream, keys: Sequence, batch_size: int
 ) -> BatchStream:
     """Vectorized sort: accumulate columns, argsort an index array once
-    per key (stable, last key first), emit morsels of the permutation.
-
-    The index sort reads each key column through ``list.__getitem__`` —
-    the same per-row key values the row path sorts by, so the resulting
-    permutation (and thus the output order) is bit-identical.
+    per key (stable, last key first, so mixed ascending/descending
+    orderings need no comparator tricks), emit morsels of the permutation.
     """
     schema = stream.schema
     getters = []
@@ -325,12 +282,8 @@ def order_by_stream(
             getters.append((None, schema.position(target), descending))
 
     def gen() -> Iterator[Batch]:
-        columns: List[List[Any]] = [[] for _ in schema]
-        total = 0
-        for batch in stream:
-            total += batch.num_rows
-            for acc, col in zip(columns, batch.columns):
-                acc.extend(col)
+        whole = columnar_relation_from_batches(stream)
+        columns, total = whole.columns, len(whole)
         if total == 0:
             return
         if not columns:

@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Uni
 
 from repro.errors import PlanError
 from repro.relational import operators
-from repro.relational.aggregates import Aggregate, group_by, group_by_stream
+from repro.relational.aggregates import Aggregate, group_by_stream
 from repro.relational.batch import (
     Batch,
     BatchStream,
@@ -35,11 +35,8 @@ from repro.relational.context import ExecutionContext
 from repro.relational.expressions import Expr
 from repro.relational.groupwise import groupwise_apply
 from repro.relational.joins import (
-    hash_join,
     hash_join_stream,
-    left_outer_join,
     left_outer_join_stream,
-    merge_join,
     merge_join_stream,
     nested_loop_join,
 )
@@ -72,6 +69,10 @@ __all__ = [
 #: Output schema of every SSJoin node, fixed so downstream operators and
 #: the static verifier can rely on it (mirrors repro.core.basic.RESULT_SCHEMA).
 SSJOIN_RESULT_SCHEMA = Schema(["a_r", "a_s", "overlap", "norm_r", "norm_s"])
+
+
+#: EXPLAIN note of the nodes that wrap a row callable.
+_MATERIALIZES = "materializes child (row callable)"
 
 
 def _tolerant_schema(columns: Sequence[Column]) -> Schema:
@@ -147,10 +148,9 @@ class PlanNode:
     Execution is context-threaded: :meth:`execute` accepts an
     :class:`~repro.relational.context.ExecutionContext`, a bare
     :class:`Catalog` (wrapped on the fly — the historical call shape), or
-    ``None``, normalizes it, and dispatches to the node's :meth:`_run`.
-    One context flows through the whole tree, so an SSJoin node deep in a
-    plan shares the same metrics, cost model, caches and worker pool as
-    its siblings.
+    ``None``, and normalizes it. One context flows through the whole
+    tree, so an SSJoin node deep in a plan shares the same metrics, cost
+    model, caches and worker pool as its siblings.
 
     Besides execution, every node participates in **static schema
     propagation**: :meth:`output_schema` computes the schema this node
@@ -162,63 +162,35 @@ class PlanNode:
     verifier (:mod:`repro.analysis.plan_verifier`) degrades gracefully on
     unknown subtrees and checks everything else.
 
-    **Execution protocols.** Since the Layer-8 refactor every node speaks
-    one of two protocols, declared by :attr:`batch_protocol`. ``"batch"``
-    nodes have a vectorized kernel: :meth:`batches` streams columnar
-    :class:`~repro.relational.batch.Batch` morsels and never builds row
-    tuples. ``"row"`` nodes keep their tuple-at-a-time :meth:`_run` and
-    are bridged automatically — the base :meth:`batches` is the boundary
-    adapter (run the row kernel, chop the result into morsels), and a row
-    node executing a ``"batch"`` child re-enters the batch path through
-    ``child.execute``. The morsel capacity comes from
-    :meth:`ExecutionContext.resolved_batch_size`; ``batch_size=0``
-    disables the batch path entirely. Results are bit-identical between
-    the two protocols (the SSJ113 analysis rule audits that every
-    ``"batch"`` declaration is backed by a real kernel).
+    **Evaluation.** A node has one evaluation method, :meth:`batches`:
+    it streams the subtree's result as columnar
+    :class:`~repro.relational.batch.Batch` morsels of the capacity given
+    by :meth:`ExecutionContext.resolved_batch_size`, pulling its
+    children's streams. :meth:`execute` folds that stream. Leaves and
+    :class:`SSJoinNode` stream a relation they already hold; the three
+    nodes that wrap row callables (:class:`NestedLoopJoin`,
+    :class:`Groupwise`, :class:`Custom`) materialize their children,
+    call the callable and re-stream its result. Results do not depend on
+    the morsel capacity.
     """
 
     #: Child nodes, in order. Populated by subclasses.
     children: Tuple["PlanNode", ...] = ()
-
-    #: Which protocol this node's kernels speak natively: ``"batch"``
-    #: nodes override :meth:`batches`; ``"row"`` nodes are bridged by the
-    #: base boundary adapter.
-    batch_protocol: str = "row"
 
     def execute(
         self, context: Union[ExecutionContext, Catalog, None] = None
     ) -> Relation:
         """Evaluate this subtree against *context* and return its result."""
         ctx = ExecutionContext.of(context)
-        size = ctx.resolved_batch_size()
-        if size > 0:
-            return self._run_batched(ctx, size)
-        return self._run(ctx)
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        """Node-specific evaluation against a normalized context."""
-        raise NotImplementedError
-
-    def _run_batched(self, ctx: ExecutionContext, size: int) -> Relation:
-        """Evaluate under the batch protocol.
-
-        The default runs the row kernel — vectorized children still
-        engage, because row kernels execute children via
-        ``child.execute(ctx)`` which re-enters the batch path. Nodes with
-        a vectorized kernel override this to fold their morsel stream
-        into a lazily-rowed ColumnarRelation.
-        """
-        return self._run(ctx)
+        stream = self.batches(ctx, ctx.resolved_batch_size())
+        if stream.source is not None:
+            # Nothing but an existing relation re-chopped: hand it back.
+            return stream.source
+        return columnar_relation_from_batches(stream)
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
-        """Stream this subtree's result as columnar morsels.
-
-        This base implementation is the **boundary adapter**: it runs the
-        node's row kernel and chops the materialized relation into
-        batches, which is what keeps row-protocol operators (sorts,
-        groupings, joins) composable inside a batched plan.
-        """
-        return stream_relation(self._run(ctx), size)
+        """Stream this subtree's result as columnar morsels of *size* rows."""
+        raise NotImplementedError
 
     def label(self) -> str:
         """One-line description used by :func:`explain`."""
@@ -226,17 +198,12 @@ class PlanNode:
 
     def annotations(self, context: ExecutionContext) -> Tuple[str, ...]:
         """Extra EXPLAIN lines (cost estimates etc.), context-aware."""
-        return self._batch_annotation(context)
-
-    def _batch_annotation(self, context: ExecutionContext) -> Tuple[str, ...]:
-        """The per-node EXPLAIN line describing its execution protocol."""
         size = context.resolved_batch_size()
-        if size <= 0:
-            return ()
         return (f"batch: {self._batch_note()}, morsel={size}",)
 
     def _batch_note(self) -> str:
-        return "row (boundary adapter)"
+        """How this node produces its morsels, for EXPLAIN."""
+        return "vectorized"
 
     def output_schema(self, catalog: Optional[Catalog] = None) -> Optional[Schema]:
         """The statically-known output schema, or ``None`` if unknowable.
@@ -253,32 +220,14 @@ class PlanNode:
         return self.children[index].output_schema(catalog)
 
 
-class _VectorizedNode(PlanNode):
-    """Base of nodes with a native columnar kernel.
-
-    Subclasses override :meth:`PlanNode.batches` with a real vectorized
-    kernel; executing one standalone folds the morsel stream into a
-    :class:`~repro.relational.batch.ColumnarRelation` (row tuples built
-    lazily, only if a consumer asks for them).
-    """
-
-    batch_protocol = "batch"
-
-    def _run_batched(self, ctx: ExecutionContext, size: int) -> Relation:
-        return columnar_relation_from_batches(self.batches(ctx, size))
-
-    def _batch_note(self) -> str:
-        return "vectorized"
-
-
 class TableScan(PlanNode):
     """Leaf: read a named table from the catalog."""
 
     def __init__(self, table: str) -> None:
         self.table = table
 
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return ctx.catalog.get(self.table)
+    def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
+        return stream_relation(ctx.catalog.get(self.table), size)
 
     def label(self) -> str:
         return f"Scan({self.table})"
@@ -299,8 +248,8 @@ class MaterializedInput(PlanNode):
         self.relation = relation
         self._label = label_text
 
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return self.relation
+    def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
+        return stream_relation(self.relation, size)
 
     def label(self) -> str:
         return f"Materialized({self._label}, rows={len(self.relation)})"
@@ -327,8 +276,8 @@ class PreparedInput(PlanNode):
         self.prepared = prepared
         self._label = label_text if label_text is not None else prepared.name
 
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return self.prepared.relation
+    def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
+        return stream_relation(self.prepared.relation, size)
 
     def label(self) -> str:
         return (
@@ -378,21 +327,15 @@ class SSJoinNode(PlanNode):
         #: SSJoinResult of the most recent execution (None before any).
         self.last_result: Any = None
 
-    batch_protocol = "batch"
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
+    def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         # Imported here: repro.core layers above repro.relational.
         from repro.core.physical import execute_ssjoin_node
 
-        result = execute_ssjoin_node(self, ctx)
-        self.last_result = result
-        return result.pairs
-
-    def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         # The physical layer emits its pairs as a ColumnarRelation (five
         # parallel lists straight from the encoded merge), so feeding a
-        # vectorized parent is pure column slicing — no tuple round-trip.
-        return stream_relation(self._run(ctx), size)
+        # parent is pure column slicing — no tuple round-trip.
+        self.last_result = execute_ssjoin_node(self, ctx)
+        return stream_relation(self.last_result.pairs, size)
 
     def resolve_sides(self, ctx: ExecutionContext) -> Tuple[Any, Any]:
         """Materialize both children as PreparedRelations.
@@ -438,7 +381,7 @@ class SSJoinNode(PlanNode):
         except Exception:
             return (
                 "cost: (inputs not resolvable statically)",
-            ) + self._batch_annotation(context)
+            ) + super().annotations(context)
         model = context.cost_model or CostModel()
         estimates = model.estimate_all(left, right, self.predicate, self.ordering)
         chosen = (
@@ -452,7 +395,7 @@ class SSJoinNode(PlanNode):
         for e in estimates:
             marker = "*" if e.implementation == chosen else " "
             lines.append(f"{marker} cost[{e.implementation}] = {e.cost:.0f}")
-        return tuple(lines) + self._batch_annotation(context)
+        return tuple(lines) + super().annotations(context)
 
     def _batch_note(self) -> str:
         return "columnar source"
@@ -461,15 +404,12 @@ class SSJoinNode(PlanNode):
         return SSJOIN_RESULT_SCHEMA
 
 
-class Select(_VectorizedNode):
+class Select(PlanNode):
     """σ over a boolean expression."""
 
     def __init__(self, child: PlanNode, predicate: Expr) -> None:
         self.children = (child,)
         self.predicate = predicate
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return operators.select(self.children[0].execute(ctx), self.predicate)
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         return operators.select_stream(
@@ -483,20 +423,17 @@ class Select(_VectorizedNode):
         return self._child_schema(catalog)
 
 
-class Project(_VectorizedNode):
+class Project(PlanNode):
     """π over plain names or ``(name, Expr)`` derived columns."""
 
     def __init__(self, child: PlanNode, columns: Sequence) -> None:
         self.children = (child,)
         self.columns = list(columns)
 
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return operators.project(self.children[0].execute(ctx), self.columns)
-
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         # Zero-column projections stay columnar too: empty-schema batches
         # carry an explicit row count (see Batch.num_rows), so
-        # COUNT(*)-shaped plans never drop to the row protocol.
+        # COUNT(*)-shaped plans keep their cardinality.
         pushed = self._pushdown_stream(ctx, size)
         if pushed is not None:
             return pushed
@@ -546,16 +483,13 @@ class Project(_VectorizedNode):
         return _tolerant_schema(cols)
 
 
-class Extend(_VectorizedNode):
+class Extend(PlanNode):
     """Append one derived column."""
 
     def __init__(self, child: PlanNode, column: str, expr: Expr) -> None:
         self.children = (child,)
         self.column = column
         self.expr = expr
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return operators.extend(self.children[0].execute(ctx), self.column, self.expr)
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         return operators.extend_stream(
@@ -572,7 +506,7 @@ class Extend(_VectorizedNode):
         return _tolerant_schema(list(child.columns) + [Column(self.column)])
 
 
-class Rename(_VectorizedNode):
+class Rename(PlanNode):
     """Qualify every column with a table alias (``x`` → ``alias.x``).
 
     A schema-only rewrite: the batch kernel re-tags each morsel with the
@@ -584,9 +518,6 @@ class Rename(_VectorizedNode):
     def __init__(self, child: PlanNode, prefix: str) -> None:
         self.children = (child,)
         self.prefix = prefix
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return self.children[0].execute(ctx).prefixed(self.prefix)
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         stream = self.children[0].batches(ctx, size)
@@ -611,14 +542,11 @@ class Rename(_VectorizedNode):
         return child.prefixed(self.prefix)
 
 
-class Distinct(_VectorizedNode):
+class Distinct(PlanNode):
     """δ duplicate elimination."""
 
     def __init__(self, child: PlanNode) -> None:
         self.children = (child,)
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return self.children[0].execute(ctx).distinct()
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         return operators.distinct_stream(self.children[0].batches(ctx, size))
@@ -630,15 +558,12 @@ class Distinct(_VectorizedNode):
         return self._child_schema(catalog)
 
 
-class OrderBy(_VectorizedNode):
+class OrderBy(PlanNode):
     """Sort by keys (see :func:`repro.relational.operators.order_by`)."""
 
     def __init__(self, child: PlanNode, keys: Sequence) -> None:
         self.children = (child,)
         self.keys = list(keys)
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return operators.order_by(self.children[0].execute(ctx), self.keys)
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         return operators.order_by_stream(
@@ -660,15 +585,12 @@ class OrderBy(_VectorizedNode):
         return self._child_schema(catalog)
 
 
-class Limit(_VectorizedNode):
+class Limit(PlanNode):
     """Keep the first *n* rows."""
 
     def __init__(self, child: PlanNode, n: int) -> None:
         self.children = (child,)
         self.n = n
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return operators.limit(self.children[0].execute(ctx), self.n)
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         return operators.limit_stream(self.children[0].batches(ctx, size), self.n)
@@ -680,7 +602,7 @@ class Limit(_VectorizedNode):
         return self._child_schema(catalog)
 
 
-class _JoinBase(_VectorizedNode):
+class _JoinBase(PlanNode):
     def __init__(
         self,
         left: PlanNode,
@@ -714,11 +636,6 @@ class _JoinBase(_VectorizedNode):
 class HashJoin(_JoinBase):
     """Equi-join executed by build/probe hashing."""
 
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        left = self.children[0].execute(ctx)
-        right = self.children[1].execute(ctx)
-        return hash_join(left, right, self.keys, prefixes=self.prefixes)
-
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         left, right = self._child_streams(ctx, size)
         return hash_join_stream(
@@ -732,11 +649,6 @@ class HashJoin(_JoinBase):
 class MergeJoin(_JoinBase):
     """Equi-join executed by sort-merge."""
 
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        left = self.children[0].execute(ctx)
-        right = self.children[1].execute(ctx)
-        return merge_join(left, right, self.keys, prefixes=self.prefixes)
-
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         left, right = self._child_streams(ctx, size)
         return merge_join_stream(
@@ -749,11 +661,6 @@ class MergeJoin(_JoinBase):
 
 class LeftOuterJoin(_JoinBase):
     """LEFT OUTER equi-join (unmatched left rows survive, NULL-padded)."""
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        left = self.children[0].execute(ctx)
-        right = self.children[1].execute(ctx)
-        return left_outer_join(left, right, self.keys, prefixes=self.prefixes)
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         left, right = self._child_streams(ctx, size)
@@ -781,10 +688,18 @@ class NestedLoopJoin(PlanNode):
         self.prefixes = prefixes
         self.description = description
 
-    def _run(self, ctx: ExecutionContext) -> Relation:
+    def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
+        # The predicate is a row-pair callable: materialize both children,
+        # pair them row by row, re-stream the result.
         left = self.children[0].execute(ctx)
         right = self.children[1].execute(ctx)
-        return nested_loop_join(left, right, self.predicate, prefixes=self.prefixes)
+        return stream_relation(
+            nested_loop_join(left, right, self.predicate, prefixes=self.prefixes),
+            size,
+        )
+
+    def _batch_note(self) -> str:
+        return _MATERIALIZES
 
     def label(self) -> str:
         return f"NestedLoopJoin({self.description})"
@@ -797,7 +712,7 @@ class NestedLoopJoin(PlanNode):
         return _disambiguated_join_schema(left, right, self.prefixes)
 
 
-class GroupBy(_VectorizedNode):
+class GroupBy(PlanNode):
     """γ with aggregates and optional HAVING."""
 
     def __init__(
@@ -811,10 +726,6 @@ class GroupBy(_VectorizedNode):
         self.keys = list(keys)
         self.aggregates = list(aggregates)
         self.having = having
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        child = self.children[0].execute(ctx)
-        return group_by(child, self.keys, self.aggregates, having=self.having)
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         return group_by_stream(
@@ -862,9 +773,16 @@ class Groupwise(PlanNode):
         self.description = description
         self.declares = declares
 
-    def _run(self, ctx: ExecutionContext) -> Relation:
+    def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
+        # The subquery is a Relation -> Relation callable: materialize the
+        # child, apply it per group, re-stream the union.
         child = self.children[0].execute(ctx)
-        return groupwise_apply(child, self.keys, self.subquery)
+        return stream_relation(
+            groupwise_apply(child, self.keys, self.subquery), size
+        )
+
+    def _batch_note(self) -> str:
+        return _MATERIALIZES
 
     def label(self) -> str:
         return f"Groupwise(keys={self.keys}, subquery={self.description})"
@@ -898,8 +816,13 @@ class Custom(PlanNode):
         self.description = description
         self.declares = declares
 
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return self.fn(self.children[0].execute(ctx))
+    def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
+        # fn is a Relation -> Relation callable: materialize the child,
+        # call it, re-stream what it returns.
+        return stream_relation(self.fn(self.children[0].execute(ctx)), size)
+
+    def _batch_note(self) -> str:
+        return _MATERIALIZES
 
     def label(self) -> str:
         return f"Custom({self.description})"

@@ -1,10 +1,10 @@
 """The :class:`Relation`: an immutable, in-memory table of row tuples.
 
-This is the engine's sole data container. Rows are plain Python tuples in
-schema order, which keeps hashing (for hash joins / grouping) and sorting
-(for merge joins / order-by) cheap. Relations are *bags* — duplicate rows are
-preserved, matching SQL multiset semantics; use :meth:`Relation.distinct`
-for set semantics.
+Rows are plain Python tuples in schema order; the operator kernels work on
+the columnar form (:class:`~repro.relational.batch.ColumnarRelation` is
+the subclass that carries columns and builds the tuples lazily).
+Relations are *bags* — duplicate rows are preserved, matching SQL multiset
+semantics; use :meth:`Relation.distinct` for set semantics.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ class Relation:
 
     def __repr__(self) -> str:
         label = self.name or "Relation"
-        return f"<{label} {list(self.schema.names)} rows={len(self.rows)}>"
+        return f"<{label} {list(self.schema.names)} rows={len(self)}>"
 
     # -- accessors ----------------------------------------------------------------
 
@@ -167,23 +167,28 @@ class Relation:
 
     # -- simple algebra (fuller operator set lives in operators/joins) ------------
 
+    def _reschema(self, schema: Schema, name: Optional[str]) -> "Relation":
+        """The same data under another schema/name; data is shared."""
+        return Relation(schema, self.rows, name=name)
+
     def rename(self, mapping: Mapping[str, str]) -> "Relation":
         """Rename columns; data is shared, not copied."""
-        return Relation(self.schema.rename(dict(mapping)), self.rows, name=self.name)
+        return self._reschema(self.schema.rename(dict(mapping)), self.name)
 
     def renamed(self, name: str) -> "Relation":
         """Return the same relation under a new *table* name."""
-        return Relation(self.schema, self.rows, name=name)
+        return self._reschema(self.schema, name)
 
     def prefixed(self, prefix: str) -> "Relation":
         """Qualify every column name with ``prefix.``."""
-        return Relation(self.schema.prefixed(prefix), self.rows, name=self.name)
+        return self._reschema(self.schema.prefixed(prefix), self.name)
 
     def project(self, names: Sequence[str]) -> "Relation":
         """Bag projection onto *names* (keeps duplicates, like SQL SELECT)."""
-        positions = self.schema.positions(names)
-        rows = [tuple(row[p] for p in positions) for row in self.rows]
-        return Relation(self.schema.project(names), rows, name=self.name)
+        # Imported here: repro.relational.operators imports this module.
+        from repro.relational.operators import project
+
+        return project(self, list(names))
 
     def select(self, predicate: Callable[[Tuple[Any, ...]], bool]) -> "Relation":
         """Filter rows by a row-tuple predicate."""
@@ -197,13 +202,9 @@ class Relation:
 
     def distinct(self) -> "Relation":
         """Duplicate elimination, preserving first-seen order."""
-        seen = set()
-        out = []
-        for row in self.rows:
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
-        return Relation(self.schema, out, name=self.name)
+        from repro.relational.operators import distinct
+
+        return distinct(self)
 
     def extend(
         self,
@@ -218,9 +219,9 @@ class Relation:
 
     def order_by(self, names: Sequence[str], reverse: bool = False) -> "Relation":
         """Sort rows by the given columns."""
-        positions = self.schema.positions(names)
-        key = lambda row: tuple(row[p] for p in positions)  # noqa: E731
-        return Relation(self.schema, sorted(self.rows, key=key, reverse=reverse), name=self.name)
+        from repro.relational.operators import order_by
+
+        return order_by(self, [(n, "desc") if reverse else n for n in names])
 
     def union_all(self, other: "Relation") -> "Relation":
         """Bag union. Schemas must have identical column names."""

@@ -585,9 +585,8 @@ def compile_statement(
 ) -> Callable[[], Relation]:
     """Compile *statement* into an executable closure ``() -> Relation``.
 
-    *batch_size* configures the morsel size for the plan's batch
-    protocol (``None`` = cost model default, ``0`` = legacy
-    row-at-a-time); it applies to SSJOIN and plain statements alike.
+    *batch_size* is the plan's morsel capacity (``None`` = the default,
+    otherwise ``>= 1``); it applies to SSJOIN and plain statements alike.
     """
     if statement.ssjoins:
         plan = compile_ssjoin_plan(statement, catalog)
@@ -730,10 +729,11 @@ def execute_sql(
     With ``verify=True`` the statement is first checked statically
     (:func:`repro.analysis.check_sql`) and rejected with structured
     diagnostics — :class:`repro.errors.AnalysisError` — before anything
-    executes.  *batch_size* is forwarded to the plan path's
-    :class:`~repro.relational.context.ExecutionContext` (``None`` = cost
-    model default, ``0`` = row-at-a-time); results are identical for
-    every setting.
+    executes.  *batch_size* is forwarded to the plan's
+    :class:`~repro.relational.context.ExecutionContext` as its morsel
+    capacity (``None`` = the default; a value below 1 raises
+    :class:`~repro.errors.PlanError`); results are identical for every
+    capacity.
 
     >>> from repro.relational import Catalog, Relation
     >>> c = Catalog()

@@ -10,6 +10,7 @@ import pytest
 from repro.analysis.dataflow import (
     CLEAN,
     AbstractValue,
+    DataflowAnalyzer,
     analyze_dataflow,
     analyze_sources,
     build_cfg,
@@ -405,6 +406,20 @@ def test_corpus_gate_rejects_unlabelled_fixture(tmp_path):
 def test_engine_is_dataflow_clean():
     report = analyze_dataflow([str(REPO_ROOT / "src" / "repro")])
     assert not report.errors(), report.render()
+
+
+def test_plan_node_kernels_are_still_discovered():
+    # Discovery keys on "a class that defines batches"; seeing fewer
+    # kernels than when they carried a batch_protocol tag (these nine,
+    # ten in all) would silently stop DF302-DF304 auditing the plan path.
+    path = REPO_ROOT / "src" / "repro" / "relational" / "plan.py"
+    analyzer = DataflowAnalyzer()
+    analyzer.load(path, path.read_text())
+    analyzer.run()
+    tagged = {"Distinct", "Extend", "GroupBy", "Limit", "OrderBy", "Project",
+              "Rename", "SSJoinNode", "Select"}
+    assert {f"{name}.batches" for name in tagged} <= analyzer.kernel_quals
+    assert len(analyzer.kernel_quals) >= 10
 
 
 def test_full_tree_audit_is_fast():

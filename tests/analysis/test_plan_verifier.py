@@ -273,47 +273,3 @@ def test_groupby_output_schema(catalog):
     schema = group_plan(None).output_schema(catalog)
     assert schema is not None
     assert list(schema.names) == ["customer", "n", "total"]
-
-
-# -- SSJ113: batch/row protocol mix ------------------------------------------
-
-
-def test_ssj113_shipped_operators_clean(catalog):
-    """Every shipped operator's protocol declaration matches its kernels."""
-    plan = Limit(
-        Project(
-            Extend(
-                Select(TableScan("orders"), col("amount") >= 1.0),
-                "doubled",
-                col("amount") * 2,
-            ),
-            ["customer", "doubled"],
-        ),
-        5,
-    )
-    assert verify_plan(plan, catalog).ok
-
-
-def test_ssj113_batch_claim_without_kernel(catalog):
-    class FakeVectorized(TableScan):
-        batch_protocol = "batch"
-
-    report = verify_plan(Select(FakeVectorized("orders"), col("amount") >= 1.0),
-                         catalog)
-    assert "SSJ113" in rules(report)
-    (diag,) = [d for d in report.errors() if d.rule == "SSJ113"]
-    assert "inherits the row boundary adapter" in diag.message
-
-
-def test_ssj113_kernel_without_batch_claim(catalog):
-    class RowDeclaredStream(Select):
-        batch_protocol = "row"
-
-        def batches(self, ctx, size):  # pragma: no cover - never run
-            raise NotImplementedError
-
-    plan = RowDeclaredStream(TableScan("orders"), col("amount") >= 1.0)
-    report = verify_plan(plan, catalog)
-    assert "SSJ113" in rules(report)
-    (diag,) = [d for d in report.errors() if d.rule == "SSJ113"]
-    assert "bypasses its vectorized kernel" in diag.message

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import PlanError
 from repro.relational.aggregates import agg_sum
 from repro.relational.catalog import Catalog
+from repro.relational.context import ExecutionContext
 from repro.relational.expressions import col
 from repro.relational.plan import (
     Custom,
@@ -49,6 +50,23 @@ class TestLeaves:
         node = MaterializedInput(rel, "lit")
         assert node.execute(catalog) is rel
         assert "lit" in node.label()
+
+
+class TestMorselCapacity:
+    """``batch_size`` is a capacity >= 1; there is no engine behind 0."""
+
+    def test_context_rejects_zero_at_construction(self):
+        with pytest.raises(PlanError, match="got 0"):
+            ExecutionContext(batch_size=0)
+
+    def test_capacity_set_later_fails_before_any_operator_runs(self, catalog):
+        ran = []
+        plan = Custom(TableScan("emp"), lambda rel: ran.append(rel) or rel, "spy")
+        ctx = ExecutionContext(catalog=catalog)
+        ctx.batch_size = 0
+        with pytest.raises(PlanError, match="got 0"):
+            plan.execute(ctx)
+        assert ran == []
 
 
 class TestUnaryNodes:

@@ -250,9 +250,8 @@ class TestCompilation:
         assert isinstance(grouped.children[0], SSJoinNode)
 
     def test_grouped_plan_has_no_boundary_adapter(self):
-        # PR-9 acceptance: GROUP BY + ORDER BY over SSJoin output executes
-        # end-to-end on the batch protocol — EXPLAIN must show every
-        # operator vectorized, with no row-boundary adapter anywhere.
+        # GROUP BY + ORDER BY over SSJoin output streams morsels end to
+        # end — EXPLAIN must show no node materializing its child.
         statement = parse(
             "SELECT a_r, COUNT(*) AS n, SUM(overlap) AS s FROM t r SSJOIN t s "
             "ON OVERLAP(b) >= 2 GROUP BY a_r HAVING COUNT(*) >= 1 "
@@ -263,7 +262,7 @@ class TestCompilation:
         text = explain(
             plan, context=ExecutionContext(catalog=catalog, batch_size=4096)
         )
-        assert "row (boundary adapter)" not in text
+        assert "materializes" not in text
         assert "vectorized hash aggregate" in text
         assert "vectorized sort (blocking)" in text
 
@@ -349,7 +348,7 @@ class TestExecution:
         )
         assert out.rows == (("r1",), ("r2",))
 
-    @pytest.mark.parametrize("batch_size", [0, 1, 7, 4096, None])
+    @pytest.mark.parametrize("batch_size", [1, 7, 4096, None])
     def test_grouped_results_identical_across_batch_sizes(self, batch_size):
         out = execute_sql(
             make_catalog(),
@@ -358,6 +357,10 @@ class TestExecution:
             batch_size=batch_size,
         )
         assert out.rows == (("r1", 2, 5.0), ("r2", 2, 5.0), ("r3", 1, 2.0))
+
+    def test_batch_size_below_one_is_a_plan_error(self):
+        with pytest.raises(PlanError, match="-1"):
+            execute_sql(make_catalog(), "SELECT a FROM t", batch_size=-1)
 
 
 class TestStaticVerification:

@@ -224,3 +224,17 @@ class TestSqlCommand:
         empty.write_text("")
         with pytest.raises(SystemExit):
             main(["sql", "--table", f"t={empty}", "--query", "SELECT * FROM t"])
+
+
+class TestBench:
+    def test_fig12_sweep_from_input(self, corpus, capsys):
+        assert main(["bench", "--plan", "fig12", "--input", str(corpus)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("threshold=") == 4
+        assert "digest=" in out and "total_prep=" in out
+
+    def test_row_vs_batch_plans_are_gone(self, corpus):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["bench", "--plan", "pipeline", "--input", str(corpus)]
+            )
