@@ -65,6 +65,7 @@ from repro.analysis.diagnostics import (
     AnalysisReport,
 )
 from repro.core.encoded import EncodedPreparedRelation
+from repro.core.optimizer import IMPLEMENTATIONS
 from repro.core.ordering import ElementOrdering
 from repro.core.predicate import Bound, OverlapPredicate
 from repro.core.prepared import PreparedRelation
@@ -79,18 +80,10 @@ __all__ = [
     "KNOWN_IMPLEMENTATIONS",
 ]
 
-KNOWN_IMPLEMENTATIONS = (
-    "auto",
-    "basic",
-    "prefix",
-    "inline",
-    "probe",
-    "encoded-prefix",
-    "encoded-probe",
-)
+KNOWN_IMPLEMENTATIONS = ("auto",) + IMPLEMENTATIONS
 
 #: Implementations that prefix-filter (and therefore lean on Lemma 1).
-_PREFIX_FAMILY = ("prefix", "inline", "probe", "encoded-prefix", "encoded-probe")
+_PREFIX_FAMILY = tuple(i for i in IMPLEMENTATIONS if i != "basic")
 
 #: Slack for the soundness comparisons — float-arithmetic noise only;
 #: anything beyond this is a genuine β inconsistency.
@@ -396,8 +389,8 @@ def _check_degenerate_prefix(
     if implementation not in _PREFIX_FAMILY:
         return
     sides = [("left", left, predicate.left_filter_threshold)]
-    if implementation not in ("probe", "encoded-probe"):
-        # The probe plans only prefix the probing (left) side.
+    if implementation != "probe":
+        # The probe plan only prefixes the probing (left) side.
         sides.append(("right", right, predicate.right_filter_threshold))
     for name, rel, threshold_fn in sides:
         if rel is None or not rel.norms:

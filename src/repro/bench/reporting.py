@@ -19,10 +19,8 @@ from repro.core.metrics import PHASES
 __all__ = [
     "render_table",
     "render_phase_table",
-    "render_scaling_table",
     "render_series",
     "render_json",
-    "scaling_summary",
     "speedup_table",
 ]
 
@@ -104,102 +102,17 @@ def speedup_table(
     }
 
 
-def scaling_summary(records: Sequence[SweepRecord]) -> List[Dict[str, Any]]:
-    """Speedup-vs-workers rows from records carrying a ``parallel`` block.
-
-    Records are grouped by threshold; within each group the ``workers=1``
-    record is the baseline.  Each row reports both the measured wall time
-    and the modeled wall time (parent work + shard critical path — see
-    :class:`repro.parallel.ParallelReport`), and the speedup is computed
-    on the modeled figure, which is the one that holds on a machine with
-    a core per worker; measured wall cannot shrink on fewer cores.
-    Records without parallel telemetry are ignored.
-    """
-    cells: List[Dict[str, Any]] = []
-    for r in records:
-        p = r.extra.get("parallel")
-        if not p:
-            continue
-        cells.append(
-            {
-                "label": r.label,
-                "threshold": r.threshold,
-                "implementation": r.implementation,
-                "workers": int(p["workers"]),
-                "mode": p["mode"],
-                "strategy": p["strategy"],
-                "n_shards": p.get("n_shards", 0),
-                "wall_seconds": p["wall_seconds"],
-                "modeled_wall_seconds": p.get(
-                    "modeled_wall_seconds", p["wall_seconds"]
-                ),
-            }
-        )
-    baselines = {
-        c["threshold"]: c["modeled_wall_seconds"]
-        for c in cells
-        if c["workers"] == 1
-    }
-    for c in cells:
-        base = baselines.get(c["threshold"])
-        c["speedup"] = (
-            base / c["modeled_wall_seconds"]
-            if base and c["modeled_wall_seconds"] > 0
-            else None
-        )
-    cells.sort(key=lambda c: (c["threshold"], c["workers"]))
-    return cells
-
-
-def render_scaling_table(records: Sequence[SweepRecord], title: str = "") -> str:
-    """The worker-scaling panel: threshold × workers rows with speedups."""
-    rows = []
-    for c in scaling_summary(records):
-        rows.append(
-            [
-                f"{c['threshold']:.2f}",
-                c["implementation"],
-                c["workers"],
-                c["strategy"] or "-",
-                c["n_shards"],
-                f"{c['wall_seconds']:.3f}",
-                f"{c['modeled_wall_seconds']:.3f}",
-                "-" if c["speedup"] is None else f"{c['speedup']:.2f}x",
-            ]
-        )
-    table = render_table(
-        ["threshold", "impl", "workers", "strategy", "shards",
-         "wall_s", "modeled_s", "speedup"],
-        rows,
-    )
-    return f"{title}\n{table}" if title else table
-
-
 def render_json(
     records: Sequence[SweepRecord],
     label: str,
     meta: Optional[Dict[str, Any]] = None,
     speedups: Optional[Dict[str, Dict[float, float]]] = None,
-    parallel: Optional[Sequence[SweepRecord]] = None,
-    verify_engine: Optional[Dict[str, Any]] = None,
-    storage: Optional[Dict[str, Any]] = None,
 ) -> str:
     """The machine-readable sweep artifact (``repro-bench/v1``).
 
     One JSON document per sweep: environment header, one record per
     (implementation × threshold) cell with per-phase timings, and optional
-    precomputed speedup series keyed ``"baseline/contender"``. Passing
-    *parallel* (records from a worker-scaling sweep, each carrying the
-    executor's telemetry in ``extra["parallel"]``) adds a top-level
-    ``parallel`` block: the raw scaling records plus the
-    speedup-vs-workers rows of :func:`scaling_summary`. Passing
-    *verify_engine* (the engine-on vs engine-off comparison assembled by
-    the core bench) adds it verbatim as a top-level ``verify_engine``
-    block: per-threshold prune counters and merge-reduction/speedup
-    figures. Passing *storage* (the cold-vs-warm-start comparison from
-    :mod:`repro.bench.storage_bench`) likewise adds a top-level
-    ``storage`` block. The format is documented in EXPERIMENTS.md;
-    CI uploads these as artifacts.
+    precomputed speedup series keyed ``"baseline/contender"``.
     """
     doc: Dict[str, Any] = {
         "schema": BENCH_JSON_SCHEMA,
@@ -217,15 +130,6 @@ def render_json(
             pair: {f"{t:.2f}": s for t, s in series.items()}
             for pair, series in speedups.items()
         }
-    if parallel is not None:
-        doc["parallel"] = {
-            "records": [r.to_dict() for r in parallel],
-            "scaling": scaling_summary(parallel),
-        }
-    if verify_engine is not None:
-        doc["verify_engine"] = dict(verify_engine)
-    if storage is not None:
-        doc["storage"] = dict(storage)
     return json.dumps(doc, indent=2, sort_keys=False)
 
 

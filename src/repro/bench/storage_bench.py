@@ -1,38 +1,11 @@
-"""Cold-vs-warm-start storage sweep (EXPERIMENTS.md E19).
-
-Measures what the Layer-10 persistence actually buys: the **cold** path
-pays the full start-up tax on every run — tokenize the corpus, resolve
-IDF weights, build the joint-frequency dictionary, sort-encode every
-group, pack signatures — while the **warm**
-path re-opens an ingested page file and adopts the persisted columnar
-arrays (decode = array slicing off mmap'd pages, zero re-sorts). Both
-paths then run the identical Fig-12 encoded-prefix join, so the delta is
-purely encode-vs-page-I/O; result rows are asserted bit-identical before
-any number is reported.
-
-The resulting ``storage`` block rides in ``BENCH_core.json`` next to the
-other ``repro-bench/v1`` blocks.
-"""
+"""Cross-process content digest of a join result."""
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import hashlib
-import os
-import tempfile
-import time
-from typing import Any, Dict, Iterator, Sequence
+from typing import Any
 
-from repro.core.encoded import EncodingCache
-from repro.core.metrics import ExecutionMetrics
-from repro.core.predicate import OverlapPredicate
-from repro.core.prepared import NORM_WEIGHT, PreparedRelation
-from repro.core.ssjoin import SSJoin
-from repro.joins.jaccard_join import resolve_weights
-from repro.tokenize.words import words
-
-__all__ = ["result_digest", "storage_sweep"]
+__all__ = ["result_digest"]
 
 
 def result_digest(relation: Any) -> str:
@@ -43,138 +16,3 @@ def result_digest(relation: Any) -> str:
     """
     payload = "\n".join(sorted(map(repr, relation.rows)))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-@contextlib.contextmanager
-def _gc_quiesced() -> Iterator[None]:
-    """Collected heap, collector off — the E16/E17 timing methodology.
-
-    The warm path materializes ~the whole page file as fresh containers
-    right before its join; a cyclic collection landing mid-join walks
-    that entire graph and charges the cost to whichever cell tripped the
-    threshold, swamping the encode-vs-page-I/O delta being measured.
-    """
-    was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def storage_sweep(
-    values: Sequence[str],
-    thresholds: Sequence[float] = (0.80, 0.90),
-    repeats: int = 3,
-) -> Dict[str, Any]:
-    """Time the Fig-12 join cold (rebuild everything) vs warm (from pages).
-
-    Per repeat round the cold cell starts from the raw strings — IDF
-    weights, :class:`PreparedRelation` and the encoding are all built
-    inside the timed window, exactly a fresh process's start-up — and
-    the warm cell re-opens the ingested table and adopts its persisted
-    columns. Both cells end with the identical encoded-prefix join; the
-    fastest round per cell wins. Raises if any warm result diverges
-    from its cold twin.
-    """
-    table = resolve_weights("idf", words, values, values)
-
-    def fresh_prepared() -> PreparedRelation:
-        return PreparedRelation.from_strings(
-            values, words, weights=table, norm=NORM_WEIGHT, name="R"
-        )
-
-    from repro.storage import ingest_prepared, open_table
-
-    tmpdir = tempfile.mkdtemp(prefix="repro-storage-bench-")
-    path = os.path.join(tmpdir, "fig12.rpsf")
-    t0 = time.perf_counter()
-    ingested = ingest_prepared(fresh_prepared(), path)
-    ingest_seconds = time.perf_counter() - t0
-    file_bytes = os.path.getsize(path)
-    n_pages = ingested.reader.num_pages
-    ingested.close()
-
-    records = []
-    for threshold in thresholds:
-        predicate = OverlapPredicate.two_sided(threshold)
-        best: Dict[str, Dict[str, Any]] = {}
-        for _ in range(max(1, repeats)):
-            # Cold: a fresh process owns only the raw strings — IDF
-            # weights, the prepared relation, and every sort-encoded
-            # signature are paid inside the timed window.
-            with _gc_quiesced():
-                m_cold = ExecutionMetrics()
-                t0 = time.perf_counter()
-                cold_weights = resolve_weights("idf", words, values, values)
-                cold_prep = PreparedRelation.from_strings(
-                    values, words,
-                    weights=cold_weights, norm=NORM_WEIGHT, name="R",
-                )
-                cold_cache = EncodingCache()
-                cold_cache.encode_pair(cold_prep, cold_prep, None, m_cold)
-                cold_prep_seconds = time.perf_counter() - t0
-                cold = SSJoin(cold_prep, cold_prep, predicate).execute(
-                    "encoded-prefix", metrics=m_cold,
-                    encoding_cache=cold_cache,
-                )
-            cold_cell = {
-                "seconds": time.perf_counter() - t0,
-                "prep_seconds": cold_prep_seconds,
-                "digest": result_digest(cold.pairs),
-                "pairs": len(cold.pairs),
-            }
-
-            # Warm: re-open the page file, seed the persisted encoding,
-            # run the identical join — the start-up tax is page decode.
-            with _gc_quiesced():
-                cache = EncodingCache()
-                m_warm = ExecutionMetrics()
-                t0 = time.perf_counter()
-                warm_table = open_table(path)
-                warm_table.seed_cache(cache)
-                warm_prep = warm_table.prepared()
-                warm_prep_seconds = time.perf_counter() - t0
-                warm = SSJoin(warm_prep, warm_prep, predicate).execute(
-                    "encoded-prefix", metrics=m_warm, encoding_cache=cache
-                )
-            warm_cell = {
-                "seconds": time.perf_counter() - t0,
-                "prep_seconds": warm_prep_seconds,
-                "digest": result_digest(warm.pairs),
-                "pairs": len(warm.pairs),
-                "encode_cache": cache.stats(),
-            }
-            warm_table.close()
-            if warm_cell["digest"] != cold_cell["digest"]:
-                raise AssertionError(
-                    f"storage sweep diverged at threshold {threshold}: "
-                    f"cold {cold_cell['digest']} != warm {warm_cell['digest']}"
-                )
-            for mode, cell in (("cold", cold_cell), ("warm", warm_cell)):
-                if mode not in best or cell["seconds"] < best[mode]["seconds"]:
-                    best[mode] = cell
-        cold_s = best["cold"]["seconds"]
-        warm_s = best["warm"]["seconds"]
-        records.append({
-            "threshold": threshold,
-            "cold_seconds": cold_s,
-            "warm_seconds": warm_s,
-            "speedup": cold_s / warm_s if warm_s > 0 else None,
-            "cold_prep_seconds": best["cold"]["prep_seconds"],
-            "warm_prep_seconds": best["warm"]["prep_seconds"],
-            "pairs": best["cold"]["pairs"],
-            "digest": best["cold"]["digest"],
-            "warm_encode_cache": best["warm"]["encode_cache"],
-        })
-
-    return {
-        "rows": len(values),
-        "implementation": "encoded-prefix",
-        "ingest_seconds": ingest_seconds,
-        "file_bytes": file_bytes,
-        "n_pages": n_pages,
-        "records": records,
-    }

@@ -24,6 +24,7 @@ import argparse
 import sys
 from typing import IO, List, Optional, Sequence, Union
 
+from repro.core.optimizer import IMPLEMENTATIONS
 from repro.core.predicate import OverlapPredicate
 from repro.core.prepared import NORM_WEIGHT, PreparedRelation
 from repro.data.customers import CustomerConfig, generate_addresses
@@ -98,8 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     dedupe.add_argument("--threshold", type=float, default=0.8)
     dedupe.add_argument(
         "--implementation",
-        choices=["auto", "basic", "prefix", "inline", "probe",
-                 "encoded-prefix", "encoded-probe"],
+        choices=("auto",) + IMPLEMENTATIONS,
         default="auto",
     )
     dedupe.add_argument("--weights", choices=["idf", "unit"], default="idf")

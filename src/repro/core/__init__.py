@@ -14,7 +14,7 @@ from repro.core.encoded import (
     encoding_cached,
     global_encoding_cache,
 )
-from repro.core.encoded_index import EncodedInvertedIndex, encoded_index_probe_ssjoin
+from repro.core.encoded_index import EncodedInvertedIndex
 from repro.core.encoded_prefix import encoded_prefix_ssjoin, merge_overlap
 from repro.core.incremental import IncrementalSSJoin
 from repro.core.index import InvertedIndex, index_probe_ssjoin
@@ -29,7 +29,6 @@ from repro.core.metrics import (
 from repro.core.optimizer import (
     CostEstimate,
     CostModel,
-    calibrate_cost_model,
     choose_implementation,
 )
 from repro.core.ordering import (
@@ -56,11 +55,6 @@ from repro.core.prepared import (
     NORM_WEIGHT,
     PreparedRelation,
 )
-from repro.core.partitioned import (
-    PartitionedResult,
-    partition_by_set_size,
-    partitioned_ssjoin,
-)
 from repro.core.physical import execute_physical, execute_ssjoin_node
 from repro.core.ssjoin import SSJoin, SSJoinResult, ssjoin
 from repro.core.validation import VerificationReport, explain_pair, verify_result
@@ -75,7 +69,6 @@ __all__ = [
     "encoding_cached",
     "global_encoding_cache",
     "EncodedInvertedIndex",
-    "encoded_index_probe_ssjoin",
     "encoded_prefix_ssjoin",
     "merge_overlap",
     "IncrementalSSJoin",
@@ -91,7 +84,6 @@ __all__ = [
     "ExecutionMetrics",
     "CostEstimate",
     "CostModel",
-    "calibrate_cost_model",
     "choose_implementation",
     "ElementOrdering",
     "frequency_ordering",
@@ -114,9 +106,6 @@ __all__ = [
     "NORM_LENGTH",
     "NORM_WEIGHT",
     "PreparedRelation",
-    "PartitionedResult",
-    "partition_by_set_size",
-    "partitioned_ssjoin",
     "SSJoin",
     "SSJoinResult",
     "ssjoin",

@@ -137,34 +137,6 @@ class TokenDictionary:
             array("d", [p[1] for p in pairs]),
         )
 
-    def encode_sorted_lenient(self, wset: WeightedSet) -> Tuple[array, array]:
-        """Like :meth:`encode_sorted`, but tolerates un-interned elements.
-
-        Unseen elements receive per-set pseudo-ids past the dictionary's
-        range (sorted by ``repr`` among themselves, mirroring
-        :class:`ElementOrdering`'s unseen-last rule), so they sort after
-        every interned element and can never match a posting or a real id
-        on the other side. Used when probing a prebuilt index whose
-        dictionary predates the probe relation.
-        """
-        ids = self._ids
-        base = len(ids)
-        seen: list = []
-        unseen: list = []
-        for e, w in wset.items():
-            i = ids.get(e)
-            if i is None:
-                unseen.append((e, w))
-            else:
-                seen.append((i, w))
-        seen.sort()
-        unseen.sort(key=lambda ew: repr(ew[0]))
-        pairs = seen + [(base + k, w) for k, (_e, w) in enumerate(unseen)]
-        return (
-            array("q", [p[0] for p in pairs]),
-            array("d", [p[1] for p in pairs]),
-        )
-
     def to_ordering(self) -> ElementOrdering:
         """The equivalent :class:`ElementOrdering` (rank table = id table)."""
         return ElementOrdering(

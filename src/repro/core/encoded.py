@@ -78,7 +78,6 @@ class EncodedPreparedRelation:
         self,
         prepared: PreparedRelation,
         dictionary: TokenDictionary,
-        lenient: bool = False,
     ) -> None:
         self.prepared = prepared
         self.dictionary = dictionary
@@ -101,9 +100,8 @@ class EncodedPreparedRelation:
         self.weights: List[array] = []
         self.norms = array("d")
         self.set_norms = array("d")
-        encode = dictionary.encode_sorted_lenient if lenient else dictionary.encode_sorted
         for a, wset in prepared.groups.items():
-            ids, weights = encode(wset)
+            ids, weights = dictionary.encode_sorted(wset)
             self.ids.append(ids)
             self.weights.append(weights)
             self.norms.append(prepared.norms[a])

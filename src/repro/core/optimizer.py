@@ -15,11 +15,15 @@ The model is deliberately simple and histogram-exact where it can be:
   over the *actual* extracted prefixes), and a verification term — regroup
   joins proportional to candidate-pair set sizes for the plain prefix plan,
   an encoded-set overlap per candidate for the inline plan.
-* The **dictionary-encoded** plans (``encoded-prefix``, ``encoded-probe``)
-  share the prefix/probe shapes but with integer-native per-row constants,
-  plus a one-time encode term that drops to zero when the encoding cache
-  already holds this input pair — which is how repeat workloads (sweeps,
-  re-planning) automatically route to the fast path.
+* The **dictionary-encoded** plan (``encoded-prefix``) shares the prefix
+  shape but with integer-native per-row constants, plus a one-time encode
+  term that drops to zero when the encoding cache already holds this input
+  pair — which is how repeat workloads (sweeps, re-planning) automatically
+  route to the fast path.
+
+The tuple index-probe plan (``probe``) is runnable by name — it is the
+independent referee the equivalence suites and the benchmark harness
+compare against — but is not priced, so ``auto`` never chooses it.
 
 Because prefixes are cheap to extract relative to any join, the optimizer
 *actually extracts them* and prices the real filtered relations instead of
@@ -42,27 +46,31 @@ from repro.core.verify import (
     estimated_prune_fraction,
     predicate_strictness,
 )
-from repro.errors import OptimizerError
+from repro.errors import OptimizerError, PlanError
 from repro.relational.stats import ColumnStats, estimate_equijoin_size
 
 if TYPE_CHECKING:  # the optimizer only touches Relation in estimates
     from repro.relational.relation import Relation
 
 __all__ = [
+    "IMPLEMENTATIONS",
     "CostEstimate",
     "CostModel",
-    "calibrate_cost_model",
     "choose_implementation",
+    "unknown_implementation",
 ]
 
-IMPLEMENTATIONS = (
-    "basic",
-    "prefix",
-    "inline",
-    "probe",
-    "encoded-prefix",
-    "encoded-probe",
-)
+#: Every plan runnable by name — the one place the names are listed.
+#: :meth:`CostModel.estimate_all` prices all of them except ``probe``.
+IMPLEMENTATIONS = ("basic", "prefix", "inline", "probe", "encoded-prefix")
+
+
+def unknown_implementation(name: str) -> PlanError:
+    """The error every entry point raises for a name outside the list."""
+    return PlanError(
+        f"unknown implementation {name!r}; expected one of "
+        f"{', '.join(IMPLEMENTATIONS)} or auto"
+    )
 
 
 @dataclass(frozen=True)
@@ -99,9 +107,6 @@ class CostModel:
     INLINE_ELEMENT = 0.5
     #: fixed per-candidate overhead of the inline UDF call
     INLINE_PAIR = 2.0
-    #: discounted cost of a suffix-completion posting visit in the
-    #: index-probe plan (only already-discovered candidates are updated)
-    PROBE_COMPLETION = 0.3
     #: cost of interning + array-encoding one element into the dictionary
     #: layer (paid only on an encoding-cache miss)
     ENCODE_ELEMENT = 0.15
@@ -109,7 +114,7 @@ class CostModel:
     #: an int compare on sorted arrays, far below VERIFY_ROW's regroup-join
     #: row cost
     MERGE_ELEMENT = 0.15
-    #: cost of one int-keyed index/posting visit in the encoded plans
+    #: cost of one int-keyed index/posting visit in the encoded plan
     #: (discovery probes and index builds)
     ENCODED_POSTING = 0.35
     #: cost of one verification-engine bound evaluation per candidate
@@ -140,7 +145,7 @@ class CostModel:
         predicate: OverlapPredicate,
         ordering: Optional[ElementOrdering] = None,
     ) -> List[CostEstimate]:
-        """Cost every implementation; cheapest first."""
+        """Cost every plan ``auto`` may choose; cheapest first."""
         if ordering is None:
             ordering = frequency_ordering(left, right)
 
@@ -200,27 +205,9 @@ class CostModel:
             },
         )
 
-        # Index-probe plan ([13]-style): build an index over the right
-        # side, probe left prefixes to discover candidates, complete with
-        # suffix elements (touching only already-known candidates, hence
-        # the completion discount).
-        left_prefix_probe_rows = float(estimate_equijoin_size(plstats, rstats))
-        suffix_rows = max(join_rows - left_prefix_probe_rows, 0.0)
-        probe = CostEstimate(
-            "probe",
-            self.BUILD_ROW * n_right
-            + self.JOIN_ROW * left_prefix_probe_rows
-            + self.PROBE_COMPLETION * suffix_rows,
-            {
-                "index_postings": float(n_right),
-                "probe_rows": left_prefix_probe_rows,
-                "completion_rows": suffix_rows,
-            },
-        )
-
-        # Dictionary-encoded plans: the same shapes as prefix/probe but
-        # with int-native per-row costs, plus a one-time encode term that
-        # the encoding cache amortizes away on repeat workloads.
+        # Dictionary-encoded plan: the same shape as prefix but with
+        # int-native per-row costs, plus a one-time encode term that the
+        # encoding cache amortizes away on repeat workloads.
         # The facade encodes under the *user's* ordering key (None when it
         # defaulted to joint frequency), so probe both cache keys.
         tier = encoding_tier(left, right, None) or encoding_tier(
@@ -272,26 +259,7 @@ class CostModel:
                 "est_prune_fraction": prune,
             },
         )
-        encoded_probe = CostEstimate(
-            "encoded-probe",
-            encode_cost
-            + signature_cost
-            + self.ENCODED_POSTING * (n_right + left_prefix_probe_rows)
-            + (self.VERIFY_BOUND * left_prefix_probe_rows if verify_bits else 0.0)
-            + self.PROBE_COMPLETION * 0.5 * suffix_rows * (1.0 - prune),
-            {
-                "encode_rows": 0.0 if cached else float(n_left + n_right),
-                "index_postings": float(n_right),
-                "probe_rows": left_prefix_probe_rows,
-                "completion_rows": suffix_rows,
-                "est_prune_fraction": prune,
-            },
-        )
-
-        return sorted(
-            [basic, prefix, inline, probe, encoded_prefix, encoded_probe],
-            key=lambda e: e.cost,
-        )
+        return sorted([basic, prefix, inline, encoded_prefix], key=lambda e: e.cost)
 
     def parallel_cost(
         self,
@@ -320,72 +288,6 @@ class CostModel:
             + self.PARALLEL_TASK * n_shards
             + self.PARALLEL_SHIP * ship_elements * workers
         )
-
-
-def calibrate_cost_model(
-    sample_left: PreparedRelation,
-    sample_right: PreparedRelation,
-    predicate: OverlapPredicate,
-    repeats: int = 2,
-) -> CostModel:
-    """Fit the cost constants to this machine by timing a sample workload.
-
-    Runs each implementation on the sample, then scales the model's
-    per-row constants so predicted costs are proportional to the measured
-    times (least-squares on the ratio, one scale factor per plan family).
-    The *relative* constants within a plan keep their defaults; only the
-    plan-level scale is fit, which is what the chooser's comparisons need.
-    Returns a new :class:`CostModel` subclass instance; the default model
-    is untouched.
-    """
-    import time as _time
-
-    from repro.core.ssjoin import SSJoin
-
-    base = CostModel()
-    estimates = {e.implementation: e.cost for e in base.estimate_all(
-        sample_left, sample_right, predicate
-    )}
-    measured: Dict[str, float] = {}
-    op = SSJoin(sample_left, sample_right, predicate)
-    for impl in IMPLEMENTATIONS:
-        best = float("inf")
-        for _ in range(max(repeats, 1)):
-            start = _time.perf_counter()
-            op.execute(impl)
-            best = min(best, _time.perf_counter() - start)
-        measured[impl] = best
-
-    # One scale per implementation family: seconds per abstract cost unit.
-    scales = {
-        impl: measured[impl] / estimates[impl] if estimates[impl] else 1.0
-        for impl in IMPLEMENTATIONS
-    }
-
-    class CalibratedModel(CostModel):
-        """Cost model rescaled to the measured machine profile."""
-
-        _SCALES = scales
-
-        def estimate_all(
-            self,
-            left: PreparedRelation,
-            right: PreparedRelation,
-            predicate: OverlapPredicate,
-            ordering: Optional[ElementOrdering] = None,
-        ) -> List[CostEstimate]:
-            raw = CostModel.estimate_all(self, left, right, predicate, ordering)
-            rescaled = [
-                CostEstimate(
-                    e.implementation,
-                    e.cost * self._SCALES.get(e.implementation, 1.0),
-                    e.details,
-                )
-                for e in raw
-            ]
-            return sorted(rescaled, key=lambda e: e.cost)
-
-    return CalibratedModel()
 
 
 def choose_implementation(

@@ -11,11 +11,11 @@ logical node into one of the concrete implementations
 ``inline``        prefix join carrying inlined sets, UDF verify (Section 3.2)
 ``probe``         inverted-index probe with suffix completion ([13]-style)
 ``encoded-prefix``  dictionary-encoded prefix plan + bitmap verify engine
-``encoded-probe``   dictionary-encoded index probe + bitmap verify engine
 ================  ==========================================================
 
 selected either explicitly or by the cost model over
-:mod:`repro.relational.stats` histograms (``implementation="auto"``). All
+:mod:`repro.relational.stats` histograms (``implementation="auto"``, which
+prices every plan but ``probe``, the by-name referee). All
 run-scoped configuration — metrics, cost model, worker pool, encoding
 cache, verify tuning — comes from one
 :class:`~repro.relational.context.ExecutionContext` rather than ad-hoc
@@ -29,17 +29,19 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.core.basic import basic_ssjoin
-from repro.core.encoded_index import EncodedInvertedIndex, encoded_index_probe_ssjoin
 from repro.core.encoded_prefix import encoded_prefix_ssjoin
 from repro.core.index import index_probe_ssjoin
 from repro.core.inline import inline_ssjoin
 from repro.core.metrics import ExecutionMetrics
-from repro.core.optimizer import CostEstimate, choose_implementation
+from repro.core.optimizer import (
+    CostEstimate,
+    choose_implementation,
+    unknown_implementation,
+)
 from repro.core.ordering import ElementOrdering, frequency_ordering
 from repro.core.predicate import OverlapPredicate
 from repro.core.prefix_filter import prefix_filtered_ssjoin
 from repro.core.prepared import PreparedRelation
-from repro.errors import PlanError
 from repro.relational.context import ExecutionContext
 from repro.relational.relation import Relation
 
@@ -89,9 +91,8 @@ def execute_physical(
     Parameters
     ----------
     implementation:
-        ``"basic"``, ``"prefix"``, ``"inline"``, ``"probe"``, the
-        dictionary-encoded fast paths ``"encoded-prefix"`` /
-        ``"encoded-probe"``, or ``"auto"`` to let the cost model decide.
+        One of :data:`repro.core.optimizer.IMPLEMENTATIONS`, or
+        ``"auto"`` to let the cost model decide.
     ordering:
         The element ordering as the *user* supplied it — ``None`` when
         defaulted. Plans that need a concrete ordering build the default
@@ -151,7 +152,7 @@ def execute_physical(
             verify_config=ctx.verify_config,
             encoding_cache=ctx.encoding_cache,
         )
-        if result.implementation in ("encoded-prefix", "encoded-probe"):
+        if result.implementation == "encoded-prefix":
             cache = ctx.encoding_cache
             if cache is None:
                 from repro.core.encoded import global_encoding_cache
@@ -169,11 +170,7 @@ def execute_physical(
         impl = estimate.implementation
 
     enc = encoding
-    if (
-        enc is None
-        and ctx.encoding_cache is not None
-        and impl in ("encoded-prefix", "encoded-probe")
-    ):
+    if enc is None and ctx.encoding_cache is not None and impl == "encoded-prefix":
         # A context-scoped cache overrides the process-global one, so
         # plans sharing a context also share their encodings.
         l_enc, r_enc, _ = ctx.encoding_cache.encode_pair(left, right, ordering, m)
@@ -195,7 +192,7 @@ def execute_physical(
             left, right, predicate, ordering=built_ordering(), metrics=m
         )
     elif impl == "encoded-prefix":
-        # The encoded plans take the *user's* ordering (None when it
+        # The encoded plan takes the *user's* ordering (None when it
         # defaulted): the dictionary's joint-frequency ids already
         # realize the default ordering, and None keys the encoding
         # cache consistently across executions.
@@ -205,19 +202,9 @@ def execute_physical(
             encoding=enc,
             verify_config=ctx.verify_config,
         )
-    elif impl == "encoded-probe":
-        pairs = encoded_index_probe_ssjoin(
-            left, right, predicate,
-            ordering=ordering, metrics=m,
-            index=(None if enc is None else EncodedInvertedIndex(enc[1])),
-            verify_config=ctx.verify_config,
-        )
     else:
-        raise PlanError(
-            f"unknown implementation {implementation!r}; expected "
-            "basic/prefix/inline/probe/encoded-prefix/encoded-probe/auto"
-        )
-    if impl in ("encoded-prefix", "encoded-probe"):
+        raise unknown_implementation(implementation)
+    if impl == "encoded-prefix":
         cache = ctx.encoding_cache
         if cache is None:
             from repro.core.encoded import global_encoding_cache

@@ -21,13 +21,16 @@ from typing import Any, List, Optional, Tuple, Union
 
 from repro.core.encoded import EncodedPreparedRelation
 from repro.core.metrics import ExecutionMetrics
-from repro.core.optimizer import CostModel, choose_implementation
+from repro.core.optimizer import (
+    CostModel,
+    choose_implementation,
+    unknown_implementation,
+)
 from repro.core.ordering import ElementOrdering, frequency_ordering
 from repro.core.physical import SSJoinResult
 from repro.core.predicate import OverlapPredicate
 from repro.core.prepared import PreparedRelation
 from repro.core.verify import VerifyConfig
-from repro.errors import PlanError
 from repro.relational.context import ExecutionContext
 from repro.relational.plan import PreparedInput, SSJoinNode
 
@@ -112,11 +115,9 @@ class SSJoin:
         Parameters
         ----------
         implementation:
-            ``"basic"``, ``"prefix"``, ``"inline"``, ``"probe"``, the
-            dictionary-encoded fast paths ``"encoded-prefix"`` /
-            ``"encoded-probe"``, or ``"auto"`` to let the cost model
-            decide (which routes encodable repeat workloads to the
-            encoded plans automatically).
+            One of :data:`repro.core.optimizer.IMPLEMENTATIONS`, or
+            ``"auto"`` to let the cost model decide among the plans it
+            prices (every one but ``"probe"``, the by-name referee).
         metrics:
             Optional pre-existing metrics object to accumulate into
             (multi-stage joins pass their own).
@@ -207,17 +208,9 @@ class SSJoin:
                 "      EncodedPrefix(S: leading slice of sorted id arrays)\n"
                 "        Encode(TokenDictionary: joint-frequency int ids, cached)"
             ),
-            "encoded-probe": (
-                "Filter(overlap >= pred)\n"
-                "  EncodedIndexProbe(per R group: prefix id slice discovers,\n"
-                "                    Verify(bitmap + partial-overlap bound),\n"
-                "                    suffix id slice completes survivors)\n"
-                "    EncodedInvertedIndex(int id -> (group, weight) postings)\n"
-                "      Encode(TokenDictionary: joint-frequency int ids, cached)"
-            ),
         }
         if impl not in shapes:
-            raise PlanError(f"unknown implementation {implementation!r}")
+            raise unknown_implementation(implementation)
         header = f"SSJoin[{impl}] pred: {self.predicate!r}\n"
         return header + note + shapes[impl]
 

@@ -60,8 +60,7 @@ conditions, and why they make it sound, are on
 
 Every stage is observable: per-stage counters (candidates in,
 bitmap-pruned, position-pruned, merges run, merges early-exited) land in
-:class:`~repro.core.metrics.ExecutionMetrics` and flow into bench
-telemetry (``verify_engine`` block of ``BENCH_core.json``).  They count
+:class:`~repro.core.metrics.ExecutionMetrics`.  They count
 evaluations performed — every evaluation ends in exactly one of the
 identity fast path, a bitmap prune, a positional prune or a merge — so
 they drop on mirrored self-joins, while ``candidate_pairs`` keeps
@@ -939,79 +938,6 @@ class VerificationEngine:
             [left_norms[g] for g in left],
             [right_norms[h] for h in right],
         )
-
-    def prune_partial(
-        self, g: int, prefix_len: int, overlaps: Dict[int, float]
-    ) -> Dict[int, float]:
-        """Probe-plan stage: prune discovered candidates before completion.
-
-        After the discovery pass, ``overlaps[h]`` holds the weight of
-        common tokens within the left β-prefix; the completion pass can
-        add at most the left *suffix* weight.  Candidates whose bitmap
-        bound or ``partial + suffix`` bound falls below the pair
-        threshold are dropped, so the completion pass (the probe plan's
-        "merge") only updates survivors.
-        """
-        lids = self.left_ids[g]
-        nl = len(lids)
-        cum = self._cum_for(g)
-        total_weight = cum[nl]
-        suffix_weight = total_weight - cum[prefix_len]
-        maxw = self.left_max_weights[g]
-        norm_r = self.left_norms[g]
-        threshold = self.predicate.threshold
-        right_norms = self.right_norms
-        right_ids = self.right_ids
-        nbits = self.nbits
-        sig = self.left_signatures[g] if nbits else 0
-        right_sigs = self.right_signatures
-        positional = self.positional
-        margin = PRUNE_MARGIN
-        bitmap_pruned = position_pruned = 0
-        terms = self._terms
-        mode = 0
-        a0 = fr0 = off0 = a1 = fr1 = off1 = 0.0
-        if terms is not None:
-            if len(terms) == 1:
-                fl0, fr0, off0 = terms[0]
-                a0 = fl0 * norm_r
-                mode = 1
-            elif len(terms) == 2:
-                (fl0, fr0, off0), (fl1, fr1, off1) = terms
-                a0 = fl0 * norm_r
-                a1 = fl1 * norm_r
-                mode = 2
-
-        out: Dict[int, float] = {}
-        for h, partial in overlaps.items():
-            norm_s = right_norms[h]
-            if mode == 2:
-                t0 = a0 + fr0 * norm_s + off0
-                t1 = a1 + fr1 * norm_s + off1
-                theta = t0 if t0 >= t1 else t1
-            elif mode == 1:
-                theta = a0 + fr0 * norm_s + off0
-            else:
-                theta = threshold(norm_r, norm_s)
-            cutoff = theta - margin
-            if nbits:
-                if total_weight < cutoff:
-                    bitmap_pruned += 1
-                    continue
-                nr = len(right_ids[h])
-                bound = (nl + nr - (sig ^ right_sigs[h]).bit_count()) * 0.5 * maxw
-                if bound < cutoff:
-                    bitmap_pruned += 1
-                    continue
-            if positional and partial + suffix_weight < cutoff:
-                position_pruned += 1
-                continue
-            out[h] = partial
-        self.candidates += len(overlaps)
-        self.bitmap_pruned += bitmap_pruned
-        self.position_pruned += position_pruned
-        self.merges_run += len(out)
-        return out
 
     def flush(self, metrics: object) -> None:
         """Fold the engine's counters into an :class:`ExecutionMetrics`."""

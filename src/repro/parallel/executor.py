@@ -41,7 +41,12 @@ from repro.core.basic import RESULT_SCHEMA
 from repro.core.encoded import encode_pair
 from repro.core.encoded_prefix import group_prefix_lengths
 from repro.core.metrics import PHASE_PREFIX, PHASE_PREP, ExecutionMetrics
-from repro.core.optimizer import IMPLEMENTATIONS, CostEstimate, CostModel
+from repro.core.optimizer import (
+    IMPLEMENTATIONS,
+    CostEstimate,
+    CostModel,
+    unknown_implementation,
+)
 from repro.core.ordering import ElementOrdering, frequency_ordering
 from repro.core.predicate import OverlapPredicate
 from repro.core.prepared import PreparedRelation
@@ -286,6 +291,9 @@ def parallel_ssjoin(
     m = metrics if metrics is not None else ExecutionMetrics()
     model = cost_model or CostModel()
 
+    if implementation != "auto" and implementation not in IMPLEMENTATIONS:
+        raise unknown_implementation(implementation)
+
     # Cost estimation is only consulted when something is left to choose:
     # with an explicit implementation AND an explicit worker count the
     # full estimate_all pass (which extracts prefix relations to size the
@@ -296,23 +304,13 @@ def parallel_ssjoin(
         if implementation == "auto":
             chosen = estimates[0]
         else:
-            by_name = {e.implementation: e for e in estimates}
-            if implementation not in by_name:
-                raise PlanError(
-                    f"unknown implementation {implementation!r}; expected one "
-                    f"of {sorted(by_name)} or 'auto'"
-                )
-            chosen = by_name[implementation]
-        impl = chosen.implementation
-        sequential_cost = chosen.cost
-    else:
-        if implementation not in IMPLEMENTATIONS:
-            raise PlanError(
-                f"unknown implementation {implementation!r}; expected one of "
-                f"{sorted(IMPLEMENTATIONS)} or 'auto'"
+            # ``probe`` is runnable but unpriced: no estimate, cost 0, so
+            # workers="auto" resolves it to sequential.
+            chosen = next(
+                (e for e in estimates if e.implementation == implementation), None
             )
-        impl = implementation
-        sequential_cost = 0.0
+    impl = chosen.implementation if chosen is not None else implementation
+    sequential_cost = chosen.cost if chosen is not None else 0.0
 
     ship_elements = left.num_elements + right.num_elements
     n_workers = choose_workers(

@@ -302,7 +302,7 @@ class SSJoinNode(PlanNode):
     ``SSJOIN`` clause compiles to).
 
     The node itself is purely logical: which physical implementation runs
-    (basic / prefix / inline / probe / encoded-prefix / encoded-probe) is
+    (one of :data:`repro.core.optimizer.IMPLEMENTATIONS`) is
     decided at execution time by :mod:`repro.core.physical` using the
     context's cost model — or forced via *implementation*. After
     execution, :attr:`last_result` holds the full

@@ -107,6 +107,5 @@ class TestDedupePipeline:
                         weights=None)
         assert report.metrics.total_seconds > 0
         assert report.join_result.implementation in (
-            "basic", "prefix", "inline", "probe",
-            "encoded-prefix", "encoded-probe",
+            "basic", "prefix", "inline", "encoded-prefix",
         )

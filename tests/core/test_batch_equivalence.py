@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.basic import basic_ssjoin
-from repro.core.encoded_index import encoded_index_probe_ssjoin
 from repro.core.encoded_prefix import encoded_prefix_ssjoin
 from repro.core.index import index_probe_ssjoin
 from repro.core.inline import inline_ssjoin
@@ -68,7 +67,6 @@ PHYSICAL = {
     "inline": inline_ssjoin,
     "probe": index_probe_ssjoin,
     "encoded-prefix": encoded_prefix_ssjoin,
-    "encoded-probe": encoded_index_probe_ssjoin,
 }
 
 IMPLEMENTATIONS = tuple(PHYSICAL)

@@ -82,15 +82,6 @@ class TestTokenDictionary:
         for i, w in zip(ids, weights):
             assert wset.weight(d.element_of(i)) == w
 
-    def test_encode_sorted_lenient_pseudo_ids_past_the_end(self):
-        d = TokenDictionary.from_frequencies({"x": 1, "y": 2})
-        wset = WeightedSet({"x": 1.0, "unseen-b": 2.0, "unseen-a": 3.0})
-        ids, weights = d.encode_sorted_lenient(wset)
-        assert list(ids) == sorted(ids)
-        # The two unseen elements sit past the dictionary range, repr-sorted.
-        assert list(ids)[-2:] == [2, 3]
-        assert list(weights)[-2:] == [3.0, 2.0]  # 'unseen-a' before 'unseen-b'
-
     def test_to_ordering_round_trip(self, prepared):
         d = TokenDictionary.from_relations(prepared)
         o = d.to_ordering()

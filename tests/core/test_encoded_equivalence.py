@@ -1,4 +1,4 @@
-"""Property: the dictionary-encoded plans are row-for-row equivalent to
+"""Property: the dictionary-encoded plan is row-for-row equivalent to
 the tuple plans — same pairs, same overlaps — across random weighted
 multisets, every predicate shape the paper names, and boundary thresholds
 sitting exactly on the ``OVERLAP_EPSILON`` edge."""
@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.basic import basic_ssjoin
-from repro.core.encoded import EncodingCache
-from repro.core.encoded_index import EncodedInvertedIndex, encoded_index_probe_ssjoin
 from repro.core.encoded_prefix import encoded_prefix_ssjoin
 from repro.core.ordering import frequency_ordering, random_ordering
 from repro.core.predicate import OverlapPredicate
@@ -31,13 +29,6 @@ class TestEncodedMatchesOracle:
     def test_encoded_prefix_equals_oracle(self, left, right, predicate):
         expected = oracle(left, right, predicate)
         got = encoded_prefix_ssjoin(left, right, predicate)
-        assert pairs_of(got) == expected
-
-    @given(prepared_relations("r"), prepared_relations("s"), predicates())
-    @settings(max_examples=200, deadline=None)
-    def test_encoded_probe_equals_oracle(self, left, right, predicate):
-        expected = oracle(left, right, predicate)
-        got = encoded_index_probe_ssjoin(left, right, predicate)
         assert pairs_of(got) == expected
 
     @given(
@@ -63,21 +54,19 @@ class TestEncodedMatchesOracle:
             (r[0], r[1]): (r[2], r[3], r[4])
             for r in basic_ssjoin(left, right, predicate).rows
         }
-        for plan in (encoded_prefix_ssjoin, encoded_index_probe_ssjoin):
-            got = plan(left, right, predicate)
-            enc_rows = {(r[0], r[1]): (r[2], r[3], r[4]) for r in got.rows}
-            assert set(enc_rows) == set(tuple_rows)
-            for key, (overlap, norm_r, norm_s) in enc_rows.items():
-                assert overlap == pytest.approx(tuple_rows[key][0])
-                assert norm_r == tuple_rows[key][1]
-                assert norm_s == tuple_rows[key][2]
+        got = encoded_prefix_ssjoin(left, right, predicate)
+        enc_rows = {(r[0], r[1]): (r[2], r[3], r[4]) for r in got.rows}
+        assert set(enc_rows) == set(tuple_rows)
+        for key, (overlap, norm_r, norm_s) in enc_rows.items():
+            assert overlap == pytest.approx(tuple_rows[key][0])
+            assert norm_r == tuple_rows[key][1]
+            assert norm_s == tuple_rows[key][2]
 
     @given(prepared_relations("r"), predicates())
     @settings(max_examples=100, deadline=None)
     def test_self_join_consistency(self, rel, predicate):
         expected = oracle(rel, rel, predicate)
         assert pairs_of(encoded_prefix_ssjoin(rel, rel, predicate)) == expected
-        assert pairs_of(encoded_index_probe_ssjoin(rel, rel, predicate)) == expected
 
 
 class TestBoundaryThresholds:
@@ -95,9 +84,6 @@ class TestBoundaryThresholds:
                 pred = OverlapPredicate.absolute(overlap)
                 expected = oracle(left, right, pred)
                 assert pairs_of(encoded_prefix_ssjoin(left, right, pred)) == expected
-                assert (
-                    pairs_of(encoded_index_probe_ssjoin(left, right, pred)) == expected
-                )
                 return  # one boundary predicate per example is enough
 
     def test_jaccard_exactly_at_threshold(self):
@@ -106,12 +92,8 @@ class TestBoundaryThresholds:
         s = PreparedRelation.from_strings(["a b c z"], words)
         pred = OverlapPredicate.two_sided(0.75)
         assert pairs_of(encoded_prefix_ssjoin(r, s, pred)) == {("a b c d", "a b c z")}
-        assert pairs_of(encoded_index_probe_ssjoin(r, s, pred)) == {
-            ("a b c d", "a b c z")
-        }
         tight = OverlapPredicate.two_sided(0.80)
         assert pairs_of(encoded_prefix_ssjoin(r, s, tight)) == set()
-        assert pairs_of(encoded_index_probe_ssjoin(r, s, tight)) == set()
 
 
 class TestFacadeAndCache:
@@ -120,10 +102,9 @@ class TestFacadeAndCache:
         s = PreparedRelation.from_strings(["a b c d", "p q"], words)
         pred = OverlapPredicate.absolute(2.0)
         expected = ssjoin(r, s, pred, implementation="basic").pair_set()
-        for impl in ("encoded-prefix", "encoded-probe"):
-            res = ssjoin(r, s, pred, implementation=impl)
-            assert res.implementation == impl
-            assert res.pair_set() == expected
+        res = ssjoin(r, s, pred, implementation="encoded-prefix")
+        assert res.implementation == "encoded-prefix"
+        assert res.pair_set() == expected
 
     def test_repeat_execution_hits_encoding_cache(self):
         """Fresh PreparedRelation objects from the same strings reuse the
@@ -144,19 +125,6 @@ class TestFacadeAndCache:
         )
         assert second.metrics.encode_cache_hits == 1
 
-    def test_prebuilt_encoded_index_reused_with_unseen_probe_tokens(self):
-        """Lookup mode: queries may contain tokens the index's dictionary
-        has never seen; they must be ignored, not crash or collide."""
-        refs = PreparedRelation.from_strings(["a b c", "c d e"], words)
-        cache = EncodingCache()
-        enc_refs, _, _ = cache.encode_pair(refs, refs)
-        index = EncodedInvertedIndex(enc_refs)
-        pred = OverlapPredicate.absolute(1.0)
-        for query, expect in (("a b", 1), ("d e", 1), ("zz qq", 0)):
-            q = PreparedRelation.from_strings([query], words)
-            out = encoded_index_probe_ssjoin(q, refs, pred, index=index)
-            assert len(out) == expect
-
     def test_auto_can_pick_encoded_plan(self):
         """Once an encoding is cached, auto's cost model discounts the
         encode cost and routes the repeat workload to an encoded plan."""
@@ -165,5 +133,5 @@ class TestFacadeAndCache:
         pred = OverlapPredicate.two_sided(0.9)
         ssjoin(p, p, pred, implementation="encoded-prefix")  # warm the cache
         res = ssjoin(p, p, pred, implementation="auto")
-        assert res.implementation in ("encoded-prefix", "encoded-probe")
+        assert res.implementation == "encoded-prefix"
         assert res.pair_set() == ssjoin(p, p, pred, implementation="basic").pair_set()

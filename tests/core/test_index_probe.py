@@ -90,13 +90,19 @@ class TestFacadeIntegration:
         assert m.implementation == "probe"
         assert m.candidate_pairs >= m.output_pairs > 0
 
-    def test_optimizer_costs_probe(self):
-        from repro.core.optimizer import CostModel
+    def test_probe_runs_by_name_but_is_not_priced(self):
+        """The referee: named explicitly it runs and agrees with the
+        brute-force oracle; the cost model gives it no estimate, so
+        ``auto`` never chooses it."""
+        from repro.core.optimizer import IMPLEMENTATIONS, CostModel
 
         rel = PreparedRelation.from_strings(
-            [f"the tok{i}" for i in range(20)], words
+            [f"the tok{i}" for i in range(20)] + ["the tok1 tok2"], words
         )
-        estimates = CostModel().estimate_all(rel, rel, OverlapPredicate.two_sided(0.9))
-        from repro.core.optimizer import IMPLEMENTATIONS
-
-        assert {e.implementation for e in estimates} == set(IMPLEMENTATIONS)
+        pred = OverlapPredicate.two_sided(0.6)
+        assert "probe" in IMPLEMENTATIONS
+        assert ssjoin(rel, rel, pred, implementation="probe").pair_set() == oracle(
+            rel, rel, pred
+        )
+        estimates = CostModel().estimate_all(rel, rel, pred)
+        assert "probe" not in {e.implementation for e in estimates}

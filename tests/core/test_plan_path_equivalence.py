@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.core import optimizer
 from repro.core.encoded import global_encoding_cache
 from repro.core.metrics import ExecutionMetrics
 from repro.core.predicate import OverlapPredicate
@@ -24,15 +25,7 @@ from repro.relational.context import ExecutionContext
 from repro.relational.plan import PreparedInput, SSJoinNode
 from repro.tokenize.words import words
 
-IMPLEMENTATIONS = (
-    "basic",
-    "prefix",
-    "inline",
-    "probe",
-    "encoded-prefix",
-    "encoded-probe",
-    "auto",
-)
+IMPLEMENTATIONS = optimizer.IMPLEMENTATIONS + ("auto",)
 
 WORKERS = (1, 2, 4)
 

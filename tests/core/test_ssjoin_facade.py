@@ -3,11 +3,17 @@
 import pytest
 
 from repro.core.metrics import ExecutionMetrics
+from repro.core.optimizer import IMPLEMENTATIONS
+from repro.core.physical import execute_physical
 from repro.core.predicate import OverlapPredicate
 from repro.core.prepared import PreparedRelation
 from repro.core.ssjoin import SSJoin, ssjoin
 from repro.errors import PlanError
 from repro.tokenize.words import words
+
+
+#: How every entry point ends its unknown-implementation message.
+EXPECTED_NAMES = "expected one of " + ", ".join(IMPLEMENTATIONS) + " or auto"
 
 
 @pytest.fixture
@@ -32,14 +38,26 @@ class TestExecute:
         r, s = operands
         res = SSJoin(r, s, OverlapPredicate.absolute(2.0)).execute("auto")
         assert res.cost_estimate is not None
-        assert res.implementation in (
-            "basic", "prefix", "inline", "probe", "encoded-prefix", "encoded-probe",
-        )
+        assert res.implementation in ("basic", "prefix", "inline", "encoded-prefix")
 
     def test_unknown_implementation(self, operands):
         r, s = operands
         with pytest.raises(PlanError):
             SSJoin(r, s, OverlapPredicate.absolute(1.0)).execute("quantum")
+
+    def test_removed_plan_name_is_rejected_with_the_stated_list(self, operands):
+        r, s = operands
+        with pytest.raises(PlanError) as exc:
+            SSJoin(r, s, OverlapPredicate.absolute(1.0)).execute("encoded-probe")
+        assert str(exc.value).endswith(EXPECTED_NAMES)
+
+    def test_execute_physical_rejects_unknown_name_with_the_stated_list(
+        self, operands
+    ):
+        r, s = operands
+        with pytest.raises(PlanError) as exc:
+            execute_physical(r, s, OverlapPredicate.absolute(1.0), implementation="nope")
+        assert str(exc.value).endswith(EXPECTED_NAMES)
 
     def test_external_metrics_accumulated(self, operands):
         r, s = operands

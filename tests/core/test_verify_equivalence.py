@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from zlib import crc32
 
 from repro.core.basic import basic_ssjoin
-from repro.core.encoded_index import encoded_index_probe_ssjoin
 from repro.core.encoded_prefix import encoded_prefix_ssjoin
 from repro.core.metrics import ExecutionMetrics
 from repro.core.predicate import MaxNormBound, OverlapPredicate
@@ -103,11 +102,9 @@ class TestFamiliesMatchBasic:
         off = encoded_prefix_ssjoin(
             rel, rel, predicate, verify_config=VerifyConfig.disabled()
         )
-        for plan in (encoded_prefix_ssjoin, encoded_index_probe_ssjoin):
-            got = plan(rel, rel, predicate, verify_config=_config(width))
-            assert pairs_of(got) == expected, f"{plan.__name__} width={width}"
-        # Engine-on encoded-prefix rows are bit-identical to engine-off.
         on = encoded_prefix_ssjoin(rel, rel, predicate, verify_config=_config(width))
+        assert pairs_of(on) == expected, f"width={width}"
+        # Engine-on encoded-prefix rows are bit-identical to engine-off.
         assert sorted(on.rows, key=canonical_sort_key) == sorted(
             off.rows, key=canonical_sort_key
         )
@@ -153,11 +150,10 @@ class TestRandomRelations:
     ):
         expected = oracle(left, right, predicate)
         for width in (0, 8, None):
-            for plan in (encoded_prefix_ssjoin, encoded_index_probe_ssjoin):
-                got = plan(left, right, predicate, verify_config=_config(width))
-                assert pairs_of(got) == expected, (
-                    f"{plan.__name__} width={width}"
-                )
+            got = encoded_prefix_ssjoin(
+                left, right, predicate, verify_config=_config(width)
+            )
+            assert pairs_of(got) == expected, f"width={width}"
 
 
 # -- mirrored ≡ directed ≡ brute force on generated self-joins ------------------

@@ -13,7 +13,11 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.metrics import ExecutionMetrics
+from repro.core.optimizer import IMPLEMENTATIONS
+from repro.core.predicate import OverlapPredicate
+from repro.core.prepared import PreparedRelation
 from repro.core.ssjoin import SSJoin
+from repro.errors import PlanError
 from repro.parallel import (
     BACKEND_SERIAL,
     KIND_GROUP_HASH,
@@ -22,20 +26,14 @@ from repro.parallel import (
     parallel_ssjoin,
 )
 
+from repro.tokenize.words import words
+
 from tests.core.test_implementations import (
     oracle,
     predicates,
     prepared_relations,
 )
-
-IMPLEMENTATIONS = (
-    "basic",
-    "prefix",
-    "inline",
-    "probe",
-    "encoded-prefix",
-    "encoded-probe",
-)
+from tests.core.test_ssjoin_facade import EXPECTED_NAMES
 
 WORKERS = (1, 2, 4)
 
@@ -128,3 +126,24 @@ class TestStrategySelection:
         assert report is not None
         assert report.mode == "sequential"
         assert report.workers == 1
+
+    def test_removed_plan_name_is_rejected_with_the_stated_list(self):
+        rel = PreparedRelation.from_strings(["a b c", "a b d"], words)
+        with pytest.raises(PlanError) as exc:
+            parallel_ssjoin(
+                rel, rel, OverlapPredicate.absolute(1.0),
+                workers=2, implementation="encoded-probe", backend=BACKEND_SERIAL,
+            )
+        assert str(exc.value).endswith(EXPECTED_NAMES)
+
+    def test_auto_workers_run_the_unpriced_referee_sequentially(self):
+        """``probe`` has no cost estimate, so ``workers="auto"`` has
+        nothing to divide and resolves to one worker instead of raising."""
+        rel = PreparedRelation.from_strings(
+            [f"the tok{i} tok{i + 1}" for i in range(12)], words
+        )
+        pred = OverlapPredicate.two_sided(0.5)
+        result = parallel_ssjoin(rel, rel, pred, workers="auto", implementation="probe")
+        assert result.parallel.mode == "sequential"
+        assert result.implementation == "probe"
+        assert list(result.pairs.rows) == _sequential(rel, rel, pred, "probe")[0]

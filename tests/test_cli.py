@@ -29,6 +29,12 @@ class TestParser:
                 ["dedupe", "--input", str(corpus), "--similarity", "levenshtein"]
             )
 
+    def test_removed_implementation_rejected(self, corpus):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["dedupe", "--input", str(corpus), "--implementation", "encoded-probe"]
+            )
+
 
 class TestDedupe:
     def test_edit_dedupe_to_file(self, corpus, tmp_path):
@@ -124,7 +130,7 @@ class TestExplainAndGenerate:
             m = re.match(r"-- [* ]?\s*cost\[([a-z-]+)\] = \d+$", n)
             if m:
                 costed.add(m.group(1))
-        assert {"basic", "prefix", "inline", "probe"} <= costed
+        assert costed == {"basic", "prefix", "inline", "encoded-prefix"}
         # Every node annotates its execution protocol (Layer 8).
         batch_notes = [n for n in notes if n.startswith("-- batch: ")]
         assert len(batch_notes) == 7
