@@ -22,7 +22,7 @@ from __future__ import annotations
 from array import array
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.core.ordering import ElementOrdering
+from repro.core.ordering import ElementOrdering, frequency_key, joint_frequency_ranks
 from repro.core.prepared import PreparedRelation
 from repro.errors import ReproError
 from repro.tokenize.sets import WeightedSet
@@ -60,23 +60,20 @@ class TokenDictionary:
     ) -> "TokenDictionary":
         """Intern the joint universe of *relations*.
 
-        With no *ordering*, ids follow increasing joint frequency with a
-        ``repr`` tiebreak — exactly the ranks of
-        :func:`repro.core.ordering.frequency_ordering` — so the encoded
+        With no *ordering*, the ids are
+        :func:`repro.core.ordering.joint_frequency_ranks` — the rank table
+        of :func:`~repro.core.ordering.frequency_ordering` — so the encoded
         plans' prefixes coincide with the tuple plans'. An explicit
         *ordering* (ablation orders, custom ranks) is honored instead.
         """
-        freq: Dict[Any, int] = {}
-        for rel in relations:
-            for e, n in rel.element_frequencies().items():
-                freq[e] = freq.get(e, 0) + n
         if ordering is None:
-            ranked = sorted(freq, key=lambda e: (freq[e], repr(e)))
-            description = "joint-frequency"
-        else:
-            ranked = sorted(freq, key=ordering.key)
-            description = f"ordering:{ordering.description}"
-        return cls({e: i for i, e in enumerate(ranked)}, description=description)
+            return cls(joint_frequency_ranks(*relations), description="joint-frequency")
+        universe = {e: None for rel in relations for e in rel.element_frequencies()}
+        ranked = sorted(universe, key=ordering.key)
+        return cls(
+            {e: i for i, e in enumerate(ranked)},
+            description=f"ordering:{ordering.description}",
+        )
 
     @classmethod
     def from_frequencies(
@@ -85,7 +82,7 @@ class TokenDictionary:
         tiebreak: Callable[[Any], Any] = repr,
     ) -> "TokenDictionary":
         """Intern a precomputed frequency histogram, rarest first."""
-        ranked = sorted(frequencies, key=lambda e: (frequencies[e], tiebreak(e)))
+        ranked = sorted(frequencies, key=frequency_key(frequencies, tiebreak))
         return cls({e: i for i, e in enumerate(ranked)}, description="frequency")
 
     # -- lookups ---------------------------------------------------------------

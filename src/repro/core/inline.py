@@ -28,8 +28,8 @@ from repro.core.metrics import (
     ExecutionMetrics,
 )
 from repro.core.ordering import ElementOrdering, frequency_ordering
-from repro.core.predicate import OVERLAP_EPSILON, OverlapPredicate
-from repro.core.prefixes import prefix_of_sorted
+from repro.core.predicate import OverlapPredicate
+from repro.core.prefixes import group_prefix
 from repro.core.prepared import PreparedRelation
 from repro.core.verify import (
     PRUNE_MARGIN,
@@ -136,11 +136,7 @@ def _inline_prefix_relation(
     rows: List[Tuple] = []
     for a, wset in prepared.groups.items():
         norm = prepared.norms[a]
-        # Widen beta by the shared overlap epsilon so boundary pairs that
-        # satisfied() admits are never pruned (Lemma 1 with alpha - eps).
-        beta = wset.norm - bound_fn(norm) + OVERLAP_EPSILON
-        ordered = wset.sorted_elements(ordering.key)
-        kept = prefix_of_sorted([(e, wset.weight(e)) for e in ordered], beta)
+        kept = group_prefix(wset, norm, bound_fn, ordering.key)
         if not kept:
             continue
         encoded = encode_set(wset)  # one shared str object per group

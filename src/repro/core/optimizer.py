@@ -11,10 +11,11 @@ The model is deliberately simple and histogram-exact where it can be:
   size is computed *exactly* from the element frequency histograms
   (``Σ_t f_R(t)·f_S(t)``), plus grouping that same row count.
 * The **prefix** plans' costs are the prefix extraction (sorting each
-  group), the far smaller equi-join of prefixes (again histogram-exact,
-  over the *actual* extracted prefixes), and a verification term — regroup
-  joins proportional to candidate-pair set sizes for the plain prefix plan,
-  an encoded-set overlap per candidate for the inline plan.
+  group), the far smaller equi-join of prefixes (a histogram product
+  again, over the prefixes of a sample of groups), and a verification
+  term — regroup joins proportional to candidate-pair set sizes for the
+  plain prefix plan, an encoded-set overlap per candidate for the inline
+  plan.
 * The **dictionary-encoded** plan (``encoded-prefix``) shares the prefix
   shape but with integer-native per-row constants, plus a one-time encode
   term that drops to zero when the encoding cache already holds this input
@@ -25,21 +26,31 @@ The tuple index-probe plan (``probe``) is runnable by name — it is the
 independent referee the equivalence suites and the benchmark harness
 compare against — but is not priced, so ``auto`` never chooses it.
 
-Because prefixes are cheap to extract relative to any join, the optimizer
-*actually extracts them* and prices the real filtered relations instead of
-guessing — the same trick a DBMS plays with sampled statistics, with the
-sample rate turned up to 100%.
+Planning must cost less than the join it plans, so the prefix statistics
+are sampled: a deterministic stride sample of at most ``SAMPLE_GROUPS``
+groups per side has its real prefixes extracted
+(:func:`repro.core.prefixes.group_prefix`, the helper the prefix plans run)
+into a token histogram, and the counts are scaled by ``n/k`` per side — so
+a side with at most ``SAMPLE_GROUPS`` groups is priced exactly. In a
+self-join (one relation, or equal fingerprints) both sides sample the same
+keys, and a group's prefix meets *itself* whenever the group is sampled —
+probability ``k/n``, not the ``(k/n)²`` of a pair of groups — so that
+diagonal is scaled by ``n/k`` on its own; on address data it is most of
+the prefix join. With no ordering given the sample is sorted by the
+joint-frequency key itself: planning never sorts the vocabulary.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from itertools import chain
+from typing import Any, Dict, List, Optional
 
 from repro.core.encoded import encoding_tier
-from repro.core.ordering import ElementOrdering, frequency_ordering
+from repro.core.ordering import ElementOrdering, frequency_key, joint_frequencies
 from repro.core.predicate import OverlapPredicate
-from repro.core.prefix_filter import prefix_filter_relation
+from repro.core.prefixes import group_prefix
 from repro.core.prepared import PreparedRelation
 from repro.core.verify import (
     choose_signature_bits,
@@ -47,13 +58,10 @@ from repro.core.verify import (
     predicate_strictness,
 )
 from repro.errors import OptimizerError, PlanError
-from repro.relational.stats import ColumnStats, estimate_equijoin_size
-
-if TYPE_CHECKING:  # the optimizer only touches Relation in estimates
-    from repro.relational.relation import Relation
 
 __all__ = [
     "IMPLEMENTATIONS",
+    "SAMPLE_GROUPS",
     "CostEstimate",
     "CostModel",
     "choose_implementation",
@@ -63,6 +71,10 @@ __all__ = [
 #: Every plan runnable by name — the one place the names are listed.
 #: :meth:`CostModel.estimate_all` prices all of them except ``probe``.
 IMPLEMENTATIONS = ("basic", "prefix", "inline", "probe", "encoded-prefix")
+
+#: Most groups per side whose prefixes :meth:`CostModel.estimate_all`
+#: extracts; a side with no more than this is priced exactly.
+SAMPLE_GROUPS = 2048
 
 
 def unknown_implementation(name: str) -> PlanError:
@@ -86,7 +98,10 @@ class CostEstimate:
     details: Dict[str, float] = field(default_factory=dict)
 
     def __repr__(self) -> str:
-        drivers = ", ".join(f"{k}={v:.0f}" for k, v in self.details.items())
+        # Two places, zeros trimmed: counts stay whole, fractions stay visible.
+        drivers = ", ".join(
+            f"{k}=" + f"{v:.2f}".rstrip("0").rstrip(".") for k, v in self.details.items()
+        )
         return f"CostEstimate({self.implementation}, cost={self.cost:.0f}, {drivers})"
 
 
@@ -146,12 +161,9 @@ class CostModel:
         ordering: Optional[ElementOrdering] = None,
     ) -> List[CostEstimate]:
         """Cost every plan ``auto`` may choose; cheapest first."""
-        if ordering is None:
-            ordering = frequency_ordering(left, right)
-
-        lstats = _element_stats(left)
-        rstats = _element_stats(right)
-        join_rows = float(estimate_equijoin_size(lstats, rstats))
+        lfreq = left.element_frequencies()
+        rfreq = right.element_frequencies()
+        join_rows = float(_histogram_join(lfreq, rfreq))
         n_left = left.num_elements
         n_right = right.num_elements
 
@@ -163,12 +175,44 @@ class CostModel:
             {"equijoin_rows": join_rows, "input_rows": n_left + n_right},
         )
 
-        # Extract the real prefixes and price the filtered join exactly.
-        pl = prefix_filter_relation(left, predicate, ordering, side="left")
-        pr = prefix_filter_relation(right, predicate, ordering, side="right")
-        plstats = ColumnStats.from_relation(pl, "b")
-        prstats = ColumnStats.from_relation(pr, "b")
-        prefix_join_rows = float(estimate_equijoin_size(plstats, prstats))
+        # Extract the real prefixes of a bounded sample and scale up.
+        key = (
+            ordering.key
+            if ordering is not None
+            else frequency_key(lfreq if left is right else joint_frequencies(left, right))
+        )
+        self_join = left is right or (
+            left.fingerprint() == right.fingerprint()
+            and left.groups.keys() == right.groups.keys()
+        )
+        lkeys = _sample_keys(left)
+        rkeys = lkeys if self_join else _sample_keys(right)
+        lscale = left.num_groups / len(lkeys) if lkeys else 1.0
+        rscale = right.num_groups / len(rkeys) if rkeys else 1.0
+        lprefixes = [
+            group_prefix(left.groups[a], left.norms[a], predicate.left_filter_threshold, key)
+            for a in lkeys
+        ]
+        rprefixes = [
+            group_prefix(right.groups[a], right.norms[a], predicate.right_filter_threshold, key)
+            for a in rkeys
+        ]
+        sample_join = _histogram_join(
+            Counter(chain.from_iterable(lprefixes)), Counter(chain.from_iterable(rprefixes))
+        )
+        # A group's two prefixes are cuts of one sorted list, so they share
+        # the shorter one; sampled with its group, not with a pair of groups.
+        diagonal = (
+            sum(min(len(p), len(q)) for p, q in zip(lprefixes, rprefixes))
+            if self_join
+            else 0
+        )
+        prefix_rows = min(lscale * sum(map(len, lprefixes)), float(n_left)) + min(
+            rscale * sum(map(len, rprefixes)), float(n_right)
+        )
+        prefix_join_rows = min(
+            lscale * rscale * (sample_join - diagonal) + lscale * diagonal, join_rows
+        )
         prefix_cost = self.PREFIX_ELEMENT * (n_left + n_right)
 
         avg_left = n_left / max(left.num_groups, 1)
@@ -180,12 +224,12 @@ class CostModel:
         prefix = CostEstimate(
             "prefix",
             prefix_cost
-            + self.BUILD_ROW * (len(pl) + len(pr))
+            + self.BUILD_ROW * prefix_rows
             + self.JOIN_ROW * prefix_join_rows
             + self.VERIFY_ROW * candidates * (avg_left + avg_right)
             + self.GROUP_ROW * candidates * min(avg_left, avg_right),
             {
-                "prefix_rows": float(len(pl) + len(pr)),
+                "prefix_rows": prefix_rows,
                 "prefix_join_rows": prefix_join_rows,
                 "est_candidates": candidates,
             },
@@ -194,12 +238,12 @@ class CostModel:
         inline = CostEstimate(
             "inline",
             prefix_cost
-            + self.BUILD_ROW * (len(pl) + len(pr))
+            + self.BUILD_ROW * prefix_rows
             + self.JOIN_ROW * prefix_join_rows
             + self.INLINE_PAIR * candidates
             + self.INLINE_ELEMENT * candidates * min(avg_left, avg_right),
             {
-                "prefix_rows": float(len(pl) + len(pr)),
+                "prefix_rows": prefix_rows,
                 "prefix_join_rows": prefix_join_rows,
                 "est_candidates": candidates,
             },
@@ -236,9 +280,7 @@ class CostModel:
             else 0.0
         )
         strictness = predicate_strictness(predicate, mean_norm)
-        verify_bits = choose_signature_bits(
-            lstats.num_distinct + rstats.num_distinct, strictness
-        )
+        verify_bits = choose_signature_bits(len(lfreq) + len(rfreq), strictness)
         prune = estimated_prune_fraction(strictness) if verify_bits else 0.0
         signature_cost = (
             0.0 if cached or not verify_bits else self.SIGNATURE_ELEMENT * (n_left + n_right)
@@ -248,12 +290,12 @@ class CostModel:
             "encoded-prefix",
             encode_cost
             + signature_cost
-            + self.ENCODED_POSTING * (len(pl) + len(pr) + prefix_join_rows)
+            + self.ENCODED_POSTING * (prefix_rows + prefix_join_rows)
             + (self.VERIFY_BOUND * candidates if verify_bits else 0.0)
             + self.MERGE_ELEMENT * candidates * (1.0 - prune) * (avg_left + avg_right),
             {
                 "encode_rows": 0.0 if cached else float(n_left + n_right),
-                "prefix_rows": float(len(pl) + len(pr)),
+                "prefix_rows": prefix_rows,
                 "prefix_join_rows": prefix_join_rows,
                 "est_candidates": candidates,
                 "est_prune_fraction": prune,
@@ -304,14 +346,17 @@ def choose_implementation(
     return estimates[0]
 
 
-def _element_stats(prepared: PreparedRelation) -> ColumnStats:
-    """Element (``b`` column) statistics of a prepared relation.
+def _sample_keys(prepared: PreparedRelation) -> List[Any]:
+    """Every group key up to ``SAMPLE_GROUPS``, an even stride of that
+    many beyond — deterministic, so one input always plans the same."""
+    keys = list(prepared.groups)
+    n = len(keys)
+    if n <= SAMPLE_GROUPS:
+        return keys
+    return [keys[i * n // SAMPLE_GROUPS] for i in range(SAMPLE_GROUPS)]
 
-    Built from the group dicts directly — equivalent to
-    ``ColumnStats.from_relation(prepared.relation, "b")`` without forcing
-    the First-Normal-Form materialization.
-    """
-    freq = prepared.element_frequencies()
-    return ColumnStats(
-        num_rows=prepared.num_elements, num_distinct=len(freq), frequencies=freq
-    )
+
+def _histogram_join(left: Dict[Any, int], right: Dict[Any, int]) -> int:
+    """Exact equi-join size of two value histograms, ``Σ_t f_L(t)·f_R(t)``."""
+    small, large = (left, right) if len(left) <= len(right) else (right, left)
+    return sum(n * large.get(e, 0) for e, n in small.items())

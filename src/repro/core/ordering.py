@@ -14,14 +14,17 @@ ablation benchmark that demonstrates the choice matters.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterable
+from typing import Any, Callable, Dict, Mapping, Tuple
 
 from repro.core.prepared import PreparedRelation
 from repro.tokenize.weights import WeightTable
 
 __all__ = [
     "ElementOrdering",
+    "frequency_key",
     "frequency_ordering",
+    "joint_frequencies",
+    "joint_frequency_ranks",
     "weight_ordering",
     "random_ordering",
     "reverse_frequency_ordering",
@@ -113,9 +116,8 @@ class ElementOrdering:
         return f"ElementOrdering({self.description}, |ranked|={len(self._ranks)})"
 
 
-def _combined_frequencies(
-    relations: Iterable[PreparedRelation],
-) -> Dict[Any, int]:
+def joint_frequencies(*relations: PreparedRelation) -> Dict[Any, int]:
+    """Element -> number of groups containing it, summed over *relations*."""
     freq: Dict[Any, int] = {}
     for rel in relations:
         for e, n in rel.element_frequencies().items():
@@ -123,15 +125,40 @@ def _combined_frequencies(
     return freq
 
 
+def frequency_key(
+    frequencies: Mapping[Any, int], tiebreak: Callable[[Any], Any] = repr
+) -> Callable[[Any], Tuple[int, Any]]:
+    """Sort key of the default order ``O``: rarest first, ties by repr — the
+    one statement of the rule, shared by the rank table, the dictionary ids
+    and the optimizer's sample sorts so that their prefixes coincide."""
+    return lambda e: (frequencies[e], tiebreak(e))
+
+
+def joint_frequency_ranks(*relations: PreparedRelation) -> Dict[Any, int]:
+    """Rank table of the default order over the joint universe.
+
+    When every argument is the same relation the table is memoized on it,
+    so a self-join sorts its vocabulary once however many orderings and
+    dictionaries are derived from it. Callers must not mutate the table.
+    """
+    owner = relations[0] if len(set(map(id, relations))) == 1 else None
+    if owner is not None and owner._frequency_ranks is not None:
+        return owner._frequency_ranks
+    # One relation with itself ranks as it does alone (k·f orders as f): no merge.
+    freq = owner.element_frequencies() if owner is not None else joint_frequencies(*relations)
+    ranks = {e: i for i, e in enumerate(sorted(freq, key=frequency_key(freq)))}
+    if owner is not None:
+        owner._frequency_ranks = ranks
+    return ranks
+
+
 def frequency_ordering(*relations: PreparedRelation) -> ElementOrdering:
     """Increasing joint frequency — the paper's recommended order.
 
     Ties are broken by element repr so the order is stable across runs.
     """
-    freq = _combined_frequencies(relations)
-    ranked = sorted(freq, key=lambda e: (freq[e], repr(e)))
     return ElementOrdering(
-        {e: i for i, e in enumerate(ranked)}, description="increasing-frequency"
+        joint_frequency_ranks(*relations), description="increasing-frequency"
     )
 
 
@@ -141,7 +168,7 @@ def reverse_frequency_ordering(*relations: PreparedRelation) -> ElementOrdering:
     Keeps the most common elements in every prefix, maximizing candidate
     pairs; Lemma 1 still guarantees correctness.
     """
-    freq = _combined_frequencies(relations)
+    freq = joint_frequencies(*relations)
     ranked = sorted(freq, key=lambda e: (-freq[e], repr(e)))
     return ElementOrdering(
         {e: i for i, e in enumerate(ranked)}, description="decreasing-frequency"

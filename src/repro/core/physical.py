@@ -164,8 +164,13 @@ def execute_physical(
     estimate: Optional[CostEstimate] = None
     impl = implementation
     if impl == "auto":
+        # Planning needs no built ordering (the optimizer sorts its sample
+        # by the frequency key itself); a tuple plan, if chosen, builds it.
+        known = ordering
+        if known is None and ordering_cache is not None:
+            known = ordering_cache[0]
         estimate = choose_implementation(
-            left, right, predicate, built_ordering(), model=ctx.cost_model
+            left, right, predicate, known, model=ctx.cost_model
         )
         impl = estimate.implementation
 

@@ -32,8 +32,8 @@ from repro.core.metrics import (
     ExecutionMetrics,
 )
 from repro.core.ordering import ElementOrdering, frequency_ordering
-from repro.core.predicate import OVERLAP_EPSILON, OverlapPredicate
-from repro.core.prefixes import prefix_of_sorted
+from repro.core.predicate import OverlapPredicate
+from repro.core.prefixes import group_prefix
 from repro.core.prepared import PreparedRelation
 from repro.relational.aggregates import agg_sum, group_by
 from repro.relational.expressions import col
@@ -44,12 +44,6 @@ from repro.relational.schema import Schema
 __all__ = ["prefix_filter_relation", "prefix_filtered_ssjoin"]
 
 _FILTERED_SCHEMA = Schema(["a", "b", "w", "norm"])
-
-
-#: Entries kept per relation in the prefix memo — enough for both sides of
-#: a costing probe plus the chosen plan's re-extraction, small enough that
-#: long-lived relations don't accumulate stale filtered copies.
-_PREFIX_CACHE_CAPACITY = 8
 
 
 def prefix_filter_relation(
@@ -64,43 +58,14 @@ def prefix_filter_relation(
     lower bound applies. Groups whose β is negative (they can never satisfy
     the predicate) vanish entirely; groups with a non-restrictive bound pass
     through whole.
-
-    Results are memoized on the relation per (predicate bounds, ordering,
-    side): the optimizer prices prefix plans by extracting the *actual*
-    prefixes, and without the memo the chosen prefix plan would repeat the
-    identical extraction moments later.
     """
-    cache = prepared._prefix_cache
-    key = (predicate.bounds, side)
-    hit = cache.get(key)
-    # The entry pins its ordering, so the `is` check cannot be fooled by
-    # id reuse after garbage collection.
-    if hit is not None and hit[0] is ordering:
-        return hit[1]
-    relation = _extract_prefix_relation(prepared, predicate, ordering, side)
-    if key not in cache and len(cache) >= _PREFIX_CACHE_CAPACITY:
-        cache.pop(next(iter(cache)))
-    cache[key] = (ordering, relation)
-    return relation
-
-
-def _extract_prefix_relation(
-    prepared: PreparedRelation,
-    predicate: OverlapPredicate,
-    ordering: ElementOrdering,
-    side: str,
-) -> Relation:
     bound_fn = (
         predicate.left_filter_threshold if side == "left" else predicate.right_filter_threshold
     )
     rows: List[Tuple] = []
     for a, wset in prepared.groups.items():
         norm = prepared.norms[a]
-        # Widen beta by the shared overlap epsilon so boundary pairs that
-        # satisfied() admits are never pruned (Lemma 1 with alpha - eps).
-        beta = wset.norm - bound_fn(norm) + OVERLAP_EPSILON
-        ordered = wset.sorted_elements(ordering.key)
-        kept = prefix_of_sorted([(e, wset.weight(e)) for e in ordered], beta)
+        kept = group_prefix(wset, norm, bound_fn, ordering.key)
         rows.extend((a, b, wset.weight(b), norm) for b in kept)
     return Relation(_FILTERED_SCHEMA, rows, name=f"prefix({prepared.name})")
 

@@ -15,12 +15,13 @@ Degenerate cases, handled here and exercised by the property tests:
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.core.ordering import ElementOrdering
+from repro.core.predicate import OVERLAP_EPSILON
 from repro.tokenize.sets import WeightedSet
 
-__all__ = ["prefix_elements", "prefix_set", "prefix_of_sorted"]
+__all__ = ["prefix_elements", "prefix_set", "prefix_of_sorted", "group_prefix"]
 
 
 def prefix_of_sorted(
@@ -48,6 +49,23 @@ def prefix_elements(
 ) -> List[Any]:
     """``prefix_β`` of a weighted set under *ordering* (Lemma 1's filter)."""
     ordered = wset.sorted_elements(ordering.key)
+    return prefix_of_sorted([(e, wset.weight(e)) for e in ordered], beta)
+
+
+def group_prefix(
+    wset: WeightedSet,
+    norm: float,
+    bound_fn: Callable[[float], float],
+    key: Callable[[Any], Any],
+) -> List[Any]:
+    """Lemma-1 prefix of one join group under sort key *key*, with
+    ``β = wt(Set(a)) − bound_fn(norm)`` (*bound_fn*: the predicate's
+    per-side threshold lower bound). The tuple prefix plans emit exactly
+    these prefixes and the optimizer's sample prices them."""
+    # Widen beta by the shared overlap epsilon so boundary pairs that
+    # satisfied() admits are never pruned (Lemma 1 with alpha - eps).
+    beta = wset.norm - bound_fn(norm) + OVERLAP_EPSILON
+    ordered = wset.sorted_elements(key)
     return prefix_of_sorted([(e, wset.weight(e)) for e in ordered], beta)
 
 

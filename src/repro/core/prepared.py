@@ -59,8 +59,9 @@ class PreparedRelation:
         self._relation: Optional[Relation] = None
         self._fingerprint: Optional[int] = None
         self._num_elements: Optional[int] = None
-        #: per-instance memo for prefix_filter_relation (see prefix_filter.py)
-        self._prefix_cache: Dict[Any, Any] = {}
+        self._element_frequencies: Optional[Dict[Any, int]] = None
+        #: memo of repro.core.ordering.joint_frequency_ranks(self, ...)
+        self._frequency_ranks: Optional[Dict[Any, int]] = None
 
     # -- constructors ------------------------------------------------------------
 
@@ -242,12 +243,17 @@ class PreparedRelation:
         return self._fingerprint
 
     def element_frequencies(self) -> Dict[Any, int]:
-        """How many groups contain each element (drives the ordering O)."""
-        freq: Dict[Any, int] = {}
-        for wset in self.groups.values():
-            for e in wset:
-                freq[e] = freq.get(e, 0) + 1
-        return freq
+        """How many groups contain each element (drives the ordering O).
+
+        Memoized like :attr:`num_elements`; callers must not mutate it.
+        """
+        if self._element_frequencies is None:
+            freq: Dict[Any, int] = {}
+            for wset in self.groups.values():
+                for e in wset:
+                    freq[e] = freq.get(e, 0) + 1
+            self._element_frequencies = freq
+        return self._element_frequencies
 
     def __len__(self) -> int:
         return len(self.groups)

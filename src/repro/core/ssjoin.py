@@ -168,7 +168,7 @@ class SSJoin:
         note = ""
         if impl == "auto":
             estimate = choose_implementation(
-                self.left, self.right, self.predicate, self.ordering
+                self.left, self.right, self.predicate, self._ordering_slot[0]
             )
             impl = estimate.implementation
             note = f"  -- chosen by cost model: {estimate!r}\n"

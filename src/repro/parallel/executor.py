@@ -296,7 +296,7 @@ def parallel_ssjoin(
 
     # Cost estimation is only consulted when something is left to choose:
     # with an explicit implementation AND an explicit worker count the
-    # full estimate_all pass (which extracts prefix relations to size the
+    # estimate_all pass (which extracts a sample of prefixes to size the
     # candidate sets) is pure overhead on the hot path.
     chosen: Optional[CostEstimate] = None
     if implementation == "auto" or workers == "auto":
@@ -449,7 +449,7 @@ def _plan_group_hash(
     resolved = ordering if ordering is not None else frequency_ordering(left, right)
     payload = GroupHashPayload(
         # Fresh copies so pickling ships groups and norms, not the lazily
-        # accumulated caches (prefix memos, base-relation views) hanging
+        # accumulated caches (token statistics, base-relation views) hanging
         # off long-lived relations.
         left=PreparedRelation.from_sets(dict(left.groups), dict(left.norms), name=left.name),
         right=PreparedRelation.from_sets(dict(right.groups), dict(right.norms), name=right.name),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.optimizer import CostModel, choose_implementation
+from repro.core.optimizer import CostEstimate, CostModel, choose_implementation
 from repro.core.predicate import MaxNormBound, OverlapPredicate
 from repro.core.prepared import NORM_LENGTH, NORM_WEIGHT, PreparedRelation
 from repro.core.ssjoin import ssjoin
@@ -51,6 +51,11 @@ class TestEstimates:
         rel = skewed_relation(5)
         est = choose_implementation(rel, rel, OverlapPredicate.two_sided(0.9))
         assert est.implementation in repr(est)
+
+    def test_repr_keeps_fractional_drivers(self):
+        est = CostEstimate("encoded-prefix", 10.0, {"rows": 1200.0, "est_prune_fraction": 0.45})
+        assert "est_prune_fraction=0.45" in repr(est)
+        assert "rows=1200," in repr(est)
 
 
 def basic_join_rows(estimates):

@@ -141,7 +141,7 @@ class TestExplainAndGenerate:
     def test_explain_fig12_golden_snapshot(self, tmp_path, capsys):
         """The Fig-12 workload's plan, pinned (costs masked to N).
 
-        CI's golden-plan job runs the same pipeline; regenerate with:
+        Regenerate with:
         ``repro generate --rows 200 --seed 20060403 --out fig12.txt &&
         repro explain --input fig12.txt --threshold 0.8 |
         sed -E 's/= [0-9]+$/= N/' > tests/golden/explain_fig12.txt``
