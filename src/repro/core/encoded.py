@@ -86,7 +86,7 @@ class EncodedPreparedRelation:
         # executes against one encoding skip the per-group recomputation.
         self.prefix_cache: dict = {}
         # Verification-engine columnar state (bit signatures per width,
-        # cumulative weights, max weights) — see repro.core.verify.
+        # total weights, max weights) — see repro.core.verify.
         # Signature entries record the dictionary size they were packed
         # under so a grown dictionary invalidates them.
         self.verify_cache: dict = {}

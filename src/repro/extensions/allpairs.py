@@ -33,7 +33,6 @@ from repro.core.verify import (
     signature_of,
 )
 from repro.errors import PredicateError
-from repro.extensions.ppjoin import _overlap_from_sorted
 from repro.joins.base import MatchPair, SimilarityJoinResult
 from repro.tokenize.words import word_set
 
@@ -52,8 +51,8 @@ def allpairs(
     a record are ignored; empty records never match.  Candidates pass the
     bitmap stage of :mod:`repro.core.verify` (integer-exact on unweighted
     sets) before the merge, which abandons once the required overlap
-    count ``⌈t·sqrt(|x|·|y|)⌉`` is unreachable; *verify_config* tunes
-    both stages.
+    count ``⌈t·sqrt(|x|·|y|)⌉`` is unreachable; *verify_config* sets
+    the signature width (None = auto, 0 = no bitmap stage).
     """
     if not 0.0 < threshold <= 1.0:
         raise PredicateError(f"threshold must be in (0, 1], got {threshold}")
@@ -86,7 +85,6 @@ def allpairs(
         sigs: List[int] = (
             [signature_of(tokens, nbits) for _, tokens in canonical] if nbits else []
         )
-        bounded = cfg.early_exit
 
     results: List[Tuple[int, int, float]] = []
     index: Dict[int, List[int]] = {}  # token id -> [record position]
@@ -122,13 +120,10 @@ def allpairs(
                 m.similarity_comparisons += 1
                 m.verify_merges_run += 1
                 # x and y are already ascending id arrays — merge directly.
-                if bounded:
-                    overlap = bounded_overlap_count(x, y, required)
-                    if overlap < 0:
-                        m.verify_merges_early_exited += 1
-                        continue
-                else:
-                    overlap = _overlap_from_sorted(x, y)
+                overlap = bounded_overlap_count(x, y, required)
+                if overlap < 0:
+                    m.verify_merges_early_exited += 1
+                    continue
                 cosine = overlap / math.sqrt(size_x * size_y)
                 if cosine + 1e-9 >= t:
                     a, b = sorted((xid, yid))

@@ -43,23 +43,6 @@ from repro.tokenize.words import word_set
 __all__ = ["ppjoin", "ppjoin_strings"]
 
 
-def _overlap_from_sorted(x: Sequence[int], y: Sequence[int]) -> int:
-    """Merge-count intersection of two ascending int-id arrays."""
-    i = j = count = 0
-    nx, ny = len(x), len(y)
-    while i < nx and j < ny:
-        xi, yj = x[i], y[j]
-        if xi == yj:
-            count += 1
-            i += 1
-            j += 1
-        elif xi < yj:
-            i += 1
-        else:
-            j += 1
-    return count
-
-
 def ppjoin(
     records: Sequence[Sequence[Any]],
     threshold: float,
@@ -76,8 +59,8 @@ def ppjoin(
     Verification goes through the bitmap stage of
     :mod:`repro.core.verify` (sets are unweighted, so the XOR-popcount
     bound is integer-exact) and a merge that abandons once the required
-    overlap count is unreachable; *verify_config* tunes both (None =
-    auto-width signatures, bounded merge on).
+    overlap count is unreachable; *verify_config* sets the signature
+    width (None = auto, 0 = no bitmap stage).
     """
     if not 0.0 < threshold <= 1.0:
         raise PredicateError(f"threshold must be in (0, 1], got {threshold}")
@@ -113,7 +96,6 @@ def ppjoin(
         sigs: List[int] = (
             [signature_of(tokens, nbits) for _, tokens in canonical] if nbits else []
         )
-        bounded = cfg.early_exit
 
     results: List[Tuple[int, int, float]] = []
     index: Dict[int, List[Tuple[int, int]]] = {}  # token id -> [(record pos, token pos)]
@@ -166,13 +148,10 @@ def ppjoin(
                 m.similarity_comparisons += 1
                 m.verify_merges_run += 1
                 # x and y are already ascending id arrays — merge directly.
-                if bounded:
-                    overlap = bounded_overlap_count(x, y, required)
-                    if overlap < 0:
-                        m.verify_merges_early_exited += 1
-                        continue
-                else:
-                    overlap = _overlap_from_sorted(x, y)
+                overlap = bounded_overlap_count(x, y, required)
+                if overlap < 0:
+                    m.verify_merges_early_exited += 1
+                    continue
                 union = size_x + size_y - overlap
                 jaccard = overlap / union if union else 1.0
                 if jaccard + 1e-9 >= t:
