@@ -34,11 +34,22 @@ from repro.analysis.invariants import (
     verify_ssjoin,
 )
 from repro.analysis.dataflow import DF_RULES, analyze_dataflow, check_corpus
-from repro.analysis.lint import lint_file, lint_paths, lint_source
 from repro.analysis.plan_verifier import check_plan, verify_plan
 from repro.analysis.selfcheck import selfcheck
 from repro.analysis.sql_check import check_sql, verify_select, verify_sql
 from repro.errors import AnalysisError
+
+_LINT_NAMES = ("lint_file", "lint_paths", "lint_source")
+
+
+def __getattr__(name: str) -> object:
+    # The lint names load on first use, so `python -m repro.analysis.lint`
+    # does not find its own module already imported by this package.
+    if name in _LINT_NAMES:
+        from repro.analysis import lint
+
+        return getattr(lint, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "SEVERITY_ERROR",

@@ -31,10 +31,10 @@ norm, suspicious for every family in Example 2.
 ``SSJ106`` unknown implementation name.
 ``SSJ107`` degenerate prefix (warning) — the filtered side's bound is
 ⩽ 0 for every group, so the "prefix" keeps whole sets.
-``SSJ108`` shard-coverage violation — a parallel shard plan does not
-cover its universe exactly once (token ranges with a gap/overlap, or
-group positions missing/duplicated), so the merged result would drop or
-double pairs. Checked by the executor before any shard is dispatched.
+``SSJ108`` shard-coverage violation — a parallel shard plan's token
+ranges do not tile the dictionary exactly once (a gap or an overlap), so
+the merged result would drop or double pairs. Checked by the executor
+before any shard is dispatched.
 ``SSJ109`` verification-filter over-prune — behavioral audit of the
 bitmap-signature verification engine (:mod:`repro.core.verify`): on
 small inputs the encoded-prefix plan is executed at deliberately hostile
@@ -501,13 +501,10 @@ def _check_verify_filter(
 
 
 def verify_shards(shards: Sequence[object], universe: int) -> AnalysisReport:
-    """Check a parallel shard plan against the coverage invariant.
+    """Check a token-range shard plan against the coverage invariant.
 
-    *universe* is the size of the space the plan partitions: the
-    dictionary size for token-range shards, the left group count for
-    group-hash shards.  Token-range shards must tile ``[0, universe)``
-    contiguously with no gap or overlap; group-hash shards' position
-    lists must form an exact partition of ``range(universe)``.  Either
+    *universe* is the dictionary size.  The shards' ranges must tile
+    ``[0, universe)`` contiguously with no gap or overlap: either
     violation means the merged parallel result would silently drop or
     duplicate pairs — the one failure mode a parallel join must never
     have.
@@ -515,11 +512,7 @@ def verify_shards(shards: Sequence[object], universe: int) -> AnalysisReport:
     # Imported here (not at module top): repro.parallel imports this
     # module for its pre-dispatch check, so the top-level edge must stay
     # one-directional (analysis -> parallel only inside functions).
-    from repro.parallel.shards import (
-        KIND_GROUP_HASH,
-        KIND_TOKEN_RANGE,
-        ShardDescriptor,
-    )
+    from repro.parallel.shards import ShardDescriptor
 
     report = AnalysisReport()
     if universe < 0:
@@ -539,14 +532,10 @@ def verify_shards(shards: Sequence[object], universe: int) -> AnalysisReport:
             )
         return report
 
-    kinds = {getattr(s, "kind", None) for s in shards}
-    if len(kinds) > 1 or not all(isinstance(s, ShardDescriptor) for s in shards):
+    if not all(isinstance(s, ShardDescriptor) for s in shards):
         report.add(
-            "SSJ108",
-            SEVERITY_ERROR,
-            f"shard plan mixes kinds {sorted(str(k) for k in kinds)}; a plan "
-            "must be all token-range or all group-hash",
-            "shards",
+            "SSJ108", SEVERITY_ERROR,
+            "shard plan holds an entry that is not a ShardDescriptor", "shards",
         )
         return report
     ids = [s.shard_id for s in shards]  # type: ignore[attr-defined]
@@ -557,63 +546,38 @@ def verify_shards(shards: Sequence[object], universe: int) -> AnalysisReport:
             "shards",
         )
 
-    kind = next(iter(kinds))
-    if kind == KIND_TOKEN_RANGE:
-        ordered = sorted(shards, key=lambda s: s.lo)  # type: ignore[attr-defined]
-        expected_lo = 0
-        for s in ordered:
-            if s.lo >= s.hi:
-                report.add(
-                    "SSJ108", SEVERITY_ERROR,
-                    f"shard {s.shard_id} has empty or inverted range "
-                    f"[{s.lo}, {s.hi})", f"shards[{s.shard_id}]",
-                )
-                return report
-            if s.lo != expected_lo:
-                gap_or_overlap = "overlap" if s.lo < expected_lo else "gap"
-                report.add(
-                    "SSJ108",
-                    SEVERITY_ERROR,
-                    f"token-range {gap_or_overlap} at id {min(s.lo, expected_lo)}: "
-                    f"shard {s.shard_id} starts at {s.lo}, expected {expected_lo}; "
-                    "candidate pairs would be "
-                    + ("enumerated twice" if s.lo < expected_lo else "lost"),
-                    f"shards[{s.shard_id}]",
-                    hint="ranges must tile [0, universe) contiguously",
-                )
-                return report
-            expected_lo = s.hi
-        if expected_lo != universe:
+    ordered = sorted(shards, key=lambda s: s.lo)  # type: ignore[attr-defined]
+    expected_lo = 0
+    for s in ordered:
+        if s.lo >= s.hi:
+            report.add(
+                "SSJ108", SEVERITY_ERROR,
+                f"shard {s.shard_id} has empty or inverted range "
+                f"[{s.lo}, {s.hi})", f"shards[{s.shard_id}]",
+            )
+            return report
+        if s.lo != expected_lo:
+            gap_or_overlap = "overlap" if s.lo < expected_lo else "gap"
             report.add(
                 "SSJ108",
                 SEVERITY_ERROR,
-                f"token ranges end at {expected_lo} but the dictionary has "
-                f"{universe} ids; trailing tokens would never be probed",
-                "shards",
-                hint="the last shard's hi must equal the universe size",
+                f"token-range {gap_or_overlap} at id {min(s.lo, expected_lo)}: "
+                f"shard {s.shard_id} starts at {s.lo}, expected {expected_lo}; "
+                "candidate pairs would be "
+                + ("enumerated twice" if s.lo < expected_lo else "lost"),
+                f"shards[{s.shard_id}]",
+                hint="ranges must tile [0, universe) contiguously",
             )
-    elif kind == KIND_GROUP_HASH:
-        positions: List[int] = []
-        for s in shards:
-            positions.extend(s.group_positions)  # type: ignore[attr-defined]
-        if sorted(positions) != list(range(universe)):
-            missing = sorted(set(range(universe)) - set(positions))[:5]
-            dupes = sorted(
-                {p for p in positions if positions.count(p) > 1}
-            )[:5]
-            report.add(
-                "SSJ108",
-                SEVERITY_ERROR,
-                "group-hash shards do not partition the left groups exactly"
-                + (f"; missing positions {missing}" if missing else "")
-                + (f"; duplicated positions {dupes}" if dupes else ""),
-                "shards",
-                hint="every group position must appear in exactly one shard",
-            )
-    else:
+            return report
+        expected_lo = s.hi
+    if expected_lo != universe:
         report.add(
-            "SSJ108", SEVERITY_ERROR,
-            f"unknown shard kind {kind!r}", "shards",
+            "SSJ108",
+            SEVERITY_ERROR,
+            f"token ranges end at {expected_lo} but the dictionary has "
+            f"{universe} ids; trailing tokens would never be probed",
+            "shards",
+            hint="the last shard's hi must equal the universe size",
         )
     return report
 

@@ -24,7 +24,6 @@ from repro.analysis.invariants import (
     verify_shards,
     verify_ssjoin,
 )
-from repro.analysis.lint import lint_paths
 from repro.analysis.plan_verifier import verify_plan
 from repro.analysis.sql_check import verify_sql
 from repro.core.encoded import encode_pair
@@ -104,10 +103,10 @@ def _ssjoin_selfcheck() -> AnalysisReport:
 
 
 def _parallel_selfcheck() -> AnalysisReport:
-    """SSJ108 over the shipped shard planners: plan real shards on the
-    sample relations and verify they cover their universes exactly."""
+    """SSJ108 over the shipped shard planner: plan real token-range shards
+    on the sample relations and verify they tile the dictionary exactly."""
     from repro.core.encoded_prefix import group_prefix_lengths
-    from repro.parallel.shards import plan_group_shards, plan_token_range_shards
+    from repro.parallel.shards import plan_token_range_shards
 
     left, right = _sample_relations()
     ordering = frequency_ordering(left, right)
@@ -118,22 +117,16 @@ def _parallel_selfcheck() -> AnalysisReport:
 
     diagnostics: List[Diagnostic] = []
     for n_shards in (1, 2, 4, 8):
-        group_plan = plan_group_shards(left, n_shards)
-        token_plan = plan_token_range_shards(
+        plan = plan_token_range_shards(
             enc_left.ids, left_prefix, enc_right.ids, right_prefix,
             len(dictionary), n_shards,
         )
-        for kind, plan, universe in (
-            ("group-hash", group_plan, left.num_groups),
-            ("token-range", token_plan, len(dictionary)),
-        ):
-            report = verify_shards(plan, universe)
-            for d in report.diagnostics:
-                diagnostics.append(
-                    dataclasses.replace(
-                        d, location=f"parallel[{kind}/n={n_shards}] {d.location}"
-                    )
+        for d in verify_shards(plan, len(dictionary)).diagnostics:
+            diagnostics.append(
+                dataclasses.replace(
+                    d, location=f"parallel[token-range/n={n_shards}] {d.location}"
                 )
+            )
     return AnalysisReport(diagnostics)
 
 
@@ -293,6 +286,10 @@ def selfcheck(
         _storage_selfcheck(),
     ]
     if include_lint:
+        # Imported here so `python -m repro.analysis.lint` does not find
+        # its own module already imported by the package.
+        from repro.analysis.lint import lint_paths
+
         parts.append(lint_paths())
     if include_dataflow:
         parts.append(_dataflow_selfcheck())

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import IO, List, Optional, Sequence, Union
+from typing import IO, List, Optional, Sequence
 
 from repro.core.optimizer import IMPLEMENTATIONS
 from repro.core.predicate import OverlapPredicate
@@ -61,15 +61,13 @@ _JOINS = {
 }
 
 
-def _parse_workers(value: str) -> Union[int, str]:
-    """argparse type for ``--workers``: an int >= 1 or the string 'auto'."""
-    if value == "auto":
-        return "auto"
+def _parse_workers(value: str) -> int:
+    """argparse type for ``--workers``: an int >= 1."""
     try:
         n = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}"
+            f"expected an integer >= 1, got {value!r}"
         ) from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"workers must be >= 1, got {n}")
@@ -107,9 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_parse_workers,
         default=None,
-        metavar="N|auto",
-        help="parallel worker processes: an integer >= 1, or 'auto' to let "
-        "the cost model decide (sequential when omitted)",
+        metavar="N",
+        help="parallel worker processes, an integer >= 1 (sequential when "
+        "omitted; only the encoded-prefix plan runs in shards)",
     )
     dedupe.add_argument("--out", help="output file (default stdout)")
     dedupe.add_argument("--metrics", action="store_true",
@@ -191,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run from an ingested page file (zero re-encode)",
     )
     bench.add_argument(
-        "--workers", type=_parse_workers, default=None, metavar="N|auto",
+        "--workers", type=_parse_workers, default=None, metavar="N",
         help="parallel worker processes",
     )
 

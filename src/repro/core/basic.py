@@ -24,7 +24,7 @@ from repro.core.metrics import (
     PHASE_SSJOIN,
     ExecutionMetrics,
 )
-from repro.core.predicate import OverlapPredicate
+from repro.core.predicate import OVERLAP_EPSILON, OverlapPredicate
 from repro.core.prepared import PreparedRelation
 from repro.relational.aggregates import agg_sum, group_by
 from repro.relational.expressions import Expr, FunctionCall, col
@@ -41,11 +41,12 @@ RESULT_SCHEMA = Schema(["a_r", "a_s", "overlap", "norm_r", "norm_s"])
 def _having_expr(
     predicate: OverlapPredicate, overlap_col: str, lnorm_col: str, rnorm_col: str
 ) -> Expr:
-    """HAVING: overlap (+ε for float round-off) >= predicate threshold."""
+    """HAVING: overlap (+ε for float round-off) >= predicate threshold —
+    :meth:`OverlapPredicate.satisfied` as an expression."""
     threshold = FunctionCall(
-        "THRESHOLD", predicate.threshold, (col(lnorm_col), col(rnorm_col))
+        "THRESHOLD", predicate.admission_threshold, (col(lnorm_col), col(rnorm_col))
     )
-    return (col(overlap_col) + 1e-9) >= threshold
+    return (col(overlap_col) + OVERLAP_EPSILON) >= threshold
 
 
 def basic_ssjoin(

@@ -70,7 +70,6 @@ class EncodedPreparedRelation:
         "set_norms",
         "prefix_cache",
         "verify_cache",
-        "storage_ref",
         "_num_elements",
     )
 
@@ -90,10 +89,6 @@ class EncodedPreparedRelation:
         # Signature entries record the dictionary size they were packed
         # under so a grown dictionary invalidates them.
         self.verify_cache: dict = {}
-        # When this encoding was decoded from (or persisted to) a page
-        # file, the file's path — lets the parallel executor ship a path
-        # instead of pickled columns, and the optimizer charge page I/O.
-        self.storage_ref: Optional[str] = None
         self.keys = list(prepared.groups)
         self._num_elements: Optional[int] = None
         self.ids: List[array] = []
@@ -116,7 +111,6 @@ class EncodedPreparedRelation:
         weights: List[array],
         norms: array,
         set_norms: array,
-        storage_ref: Optional[str] = None,
     ) -> "EncodedPreparedRelation":
         """Adopt pre-built columnar arrays without re-encoding.
 
@@ -131,7 +125,6 @@ class EncodedPreparedRelation:
         self.dictionary = dictionary
         self.prefix_cache = {}
         self.verify_cache = {}
-        self.storage_ref = storage_ref
         self.keys = list(prepared.groups)
         self._num_elements = None
         self.ids = list(ids)

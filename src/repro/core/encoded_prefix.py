@@ -28,7 +28,8 @@ parallel token-range shard workers call too.
 
 Output is a :data:`~repro.core.basic.RESULT_SCHEMA` relation with exactly
 the rows of the tuple-based plans (row order may differ; overlap values
-agree to float round-off, absorbed by the shared ``OVERLAP_EPSILON``).
+agree to float round-off, absorbed by the shared admission tolerance of
+:meth:`~repro.core.predicate.OverlapPredicate.satisfied`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.core.metrics import (
     ExecutionMetrics,
 )
 from repro.core.ordering import ElementOrdering
-from repro.core.predicate import OVERLAP_EPSILON, OverlapPredicate
+from repro.core.predicate import OverlapPredicate, prefix_beta
 from repro.core.prepared import PreparedRelation
 from repro.core.verify import (
     ResultColumns,
@@ -160,7 +161,7 @@ def group_prefix_lengths(
     set_norms = encoded.set_norms
     weights = encoded.weights
     lengths = [
-        prefix_length(weights[g], set_norms[g] - bound_fn(norms[g]) + OVERLAP_EPSILON)
+        prefix_length(weights[g], prefix_beta(set_norms[g], bound_fn(norms[g])))
         for g in range(len(weights))
     ]
     if key is not None:

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tupl
 
 from repro.core.metrics import ExecutionMetrics
 from repro.core.ordering import ElementOrdering, frequency_ordering
-from repro.core.predicate import OVERLAP_EPSILON, OverlapPredicate
+from repro.core.predicate import OverlapPredicate, prefix_beta
 from repro.core.prefixes import prefix_of_sorted
 from repro.core.prepared import PreparedRelation
 from repro.errors import ReproError
@@ -101,7 +101,7 @@ class IncrementalSSJoin:
             if side == "left"
             else self.predicate.right_filter_threshold(norm)
         )
-        beta = wset.norm - bound + OVERLAP_EPSILON
+        beta = prefix_beta(wset.norm, bound)
         return prefix_of_sorted([(e, wset.weight(e)) for e in ordered], beta)
 
     # -- the operation ----------------------------------------------------------

@@ -32,7 +32,7 @@ from repro.core.metrics import (
     ExecutionMetrics,
 )
 from repro.core.ordering import ElementOrdering, frequency_ordering
-from repro.core.predicate import OVERLAP_EPSILON, OverlapPredicate
+from repro.core.predicate import OverlapPredicate, prefix_beta
 from repro.core.prefixes import prefix_of_sorted
 from repro.core.prepared import PreparedRelation
 from repro.relational.relation import Relation
@@ -101,7 +101,7 @@ def index_probe_ssjoin(
     with m.phase(PHASE_SSJOIN):
         for a_r, wset in left.groups.items():
             norm_r = left.norms[a_r]
-            beta = wset.norm - predicate.left_filter_threshold(norm_r) + OVERLAP_EPSILON
+            beta = prefix_beta(wset.norm, predicate.left_filter_threshold(norm_r))
             ordered = wset.sorted_elements(ordering.key)
             prefix = prefix_of_sorted([(e, wset.weight(e)) for e in ordered], beta)
             if not prefix:

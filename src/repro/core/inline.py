@@ -204,7 +204,7 @@ def inline_ssjoin(
                 predicate_strictness(predicate, mean_norm),
             )
         sig_cache: Dict[int, Tuple[int, int, float]] = {}
-        threshold = predicate.threshold
+        threshold = predicate.admission_threshold
         n_cand = bitmap_pruned = merges = 0
         out_rows: List[Tuple] = []
         for row in candidates.rows:

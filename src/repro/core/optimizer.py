@@ -146,13 +146,6 @@ class CostModel:
     #: estimated on-disk bytes per encoded element (one i64 id + one f64
     #: weight), used to convert element counts into page counts
     BYTES_PER_ELEMENT = 16
-    #: fixed cost of forking + warming up one worker process
-    PARALLEL_SPAWN = 2500.0
-    #: per-shard submit/pickle/result overhead of one pool task
-    PARALLEL_TASK = 40.0
-    #: per-element cost of shipping the payload to one worker
-    #: (pickle + unpickle of the columnar arrays or prepared groups)
-    PARALLEL_SHIP = 0.08
 
     def estimate_all(
         self,
@@ -303,34 +296,6 @@ class CostModel:
             },
         )
         return sorted([basic, prefix, inline, encoded_prefix], key=lambda e: e.cost)
-
-    def parallel_cost(
-        self,
-        sequential_cost: float,
-        workers: int,
-        ship_elements: int,
-        oversplit: int = 4,
-    ) -> float:
-        """Modeled cost of running a *sequential_cost* plan on *workers*.
-
-        Per-shard work divides across workers (the shard planners
-        balance; oversplit + largest-first dispatch absorbs skew), while
-        three overheads are added back: process spawn per worker, task
-        dispatch per shard, and payload shipping — *ship_elements* set
-        elements pickled to every worker.  ``workers <= 1`` is exactly
-        the sequential cost, which is what makes ``workers="auto"``'s
-        crossover safe: below it the scheduler resolves to 1 and the
-        executor never spawns.
-        """
-        if workers <= 1:
-            return sequential_cost
-        n_shards = workers * max(oversplit, 1)
-        return (
-            sequential_cost / workers
-            + self.PARALLEL_SPAWN * workers
-            + self.PARALLEL_TASK * n_shards
-            + self.PARALLEL_SHIP * ship_elements * workers
-        )
 
 
 def choose_implementation(

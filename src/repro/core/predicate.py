@@ -24,6 +24,9 @@ from repro.errors import PredicateError
 
 __all__ = [
     "OVERLAP_EPSILON",
+    "OVERLAP_RELATIVE_EPSILON",
+    "OVERLAP_SHRINK",
+    "prefix_beta",
     "Bound",
     "AbsoluteBound",
     "LeftNormBound",
@@ -40,6 +43,20 @@ __all__ = [
 #: inline UDF filter, and the prefix β — uses this same epsilon so all
 #: three physical implementations agree on boundary pairs.
 OVERLAP_EPSILON = 1e-9
+
+#: Relative tolerance on top of OVERLAP_EPSILON. The drift is a few ulps
+#: of the sum, so it grows with the weights: seven weights summing to
+#: 4.6e6 differ by 2 ulps (1.9e-9) between two orders, past the absolute
+#: epsilon, and a set could fail to match itself. Every comparison scales
+#: its threshold by OVERLAP_SHRINK before subtracting OVERLAP_EPSILON.
+OVERLAP_RELATIVE_EPSILON = 1e-12
+OVERLAP_SHRINK = 1.0 - OVERLAP_RELATIVE_EPSILON
+
+
+def prefix_beta(set_weight: float, bound: float) -> float:
+    """Lemma 1's ``β = wt(s) − α``, widened by both overlap tolerances so
+    that no pair :meth:`OverlapPredicate.satisfied` admits is pruned."""
+    return set_weight - bound * OVERLAP_SHRINK + OVERLAP_EPSILON
 
 
 class Bound:
@@ -283,10 +300,15 @@ class OverlapPredicate:
     def satisfied(self, overlap: float, left_norm: float, right_norm: float) -> bool:
         """Does an observed overlap satisfy every conjunct?
 
-        A tiny epsilon absorbs float round-off from summing weights in a
-        different order than the threshold arithmetic.
+        The two tolerances absorb float round-off from summing weights in
+        a different order than the threshold arithmetic.
         """
-        return overlap + OVERLAP_EPSILON >= self.threshold(left_norm, right_norm)
+        return overlap + OVERLAP_EPSILON >= self.admission_threshold(left_norm, right_norm)
+
+    def admission_threshold(self, left_norm: float, right_norm: float) -> float:
+        """:meth:`threshold` less its relative tolerance: the value that
+        ``overlap + OVERLAP_EPSILON`` must reach."""
+        return self.threshold(left_norm, right_norm) * OVERLAP_SHRINK
 
     def left_filter_threshold(self, left_norm: float) -> float:
         """Sound overlap lower bound for prefix-filtering a left group."""

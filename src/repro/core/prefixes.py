@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.core.ordering import ElementOrdering
-from repro.core.predicate import OVERLAP_EPSILON
+from repro.core.predicate import prefix_beta
 from repro.tokenize.sets import WeightedSet
 
 __all__ = ["prefix_elements", "prefix_set", "prefix_of_sorted", "group_prefix"]
@@ -62,9 +62,7 @@ def group_prefix(
     ``β = wt(Set(a)) − bound_fn(norm)`` (*bound_fn*: the predicate's
     per-side threshold lower bound). The tuple prefix plans emit exactly
     these prefixes and the optimizer's sample prices them."""
-    # Widen beta by the shared overlap epsilon so boundary pairs that
-    # satisfied() admits are never pruned (Lemma 1 with alpha - eps).
-    beta = wset.norm - bound_fn(norm) + OVERLAP_EPSILON
+    beta = prefix_beta(wset.norm, bound_fn(norm))
     ordered = wset.sorted_elements(key)
     return prefix_of_sorted([(e, wset.weight(e)) for e in ordered], beta)
 

@@ -17,7 +17,7 @@ Result rows are ``(a_r, a_s, overlap, norm_r, norm_s)``; see
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple
 
 from repro.core.encoded import EncodedPreparedRelation
 from repro.core.metrics import ExecutionMetrics
@@ -106,7 +106,7 @@ class SSJoin:
         metrics: Optional[ExecutionMetrics] = None,
         cost_model: Optional[CostModel] = None,
         verify: bool = False,
-        workers: Optional[Union[int, str]] = None,
+        workers: Optional[int] = None,
         verify_config: Optional[VerifyConfig] = None,
         encoding_cache: Any = None,
     ) -> SSJoinResult:
@@ -129,17 +129,16 @@ class SSJoin:
             unsafe plan raises :class:`repro.errors.AnalysisError` with
             structured diagnostics instead of running.
         workers:
-            ``None`` (default) runs sequentially.  An ``int >= 1`` or
-            ``"auto"`` routes through :func:`repro.parallel.parallel_ssjoin`:
-            work is sharded across that many processes (``"auto"`` sizes
-            from the cost model and falls back to sequential below the
-            crossover, so it never regresses small joins).  Parallel
-            results are bit-identical to sequential and canonically
-            sorted regardless of worker count.
+            ``None`` (default) runs sequentially.  An ``int >= 1`` routes
+            through :func:`repro.parallel.parallel_ssjoin`: the
+            encoded-prefix plan is sharded across that many processes,
+            any other plan runs in-process.  Results are bit-identical
+            to sequential and canonically sorted regardless of worker
+            count.
         verify_config:
             Tuning for the bitmap-signature verification engine
             (:class:`repro.core.verify.VerifyConfig`) used by the
-            ``inline`` and encoded plans (and their parallel shards):
+            ``inline`` and encoded plans (and the encoded plan's shards):
             ``None`` resolves the signature width automatically,
             ``VerifyConfig.disabled()`` reproduces the unfiltered
             verify step exactly.  Results are identical either way —
@@ -223,7 +222,7 @@ def ssjoin(
     ordering: Optional[ElementOrdering] = None,
     metrics: Optional[ExecutionMetrics] = None,
     verify: bool = False,
-    workers: Optional[Union[int, str]] = None,
+    workers: Optional[int] = None,
     verify_config: Optional[VerifyConfig] = None,
 ) -> SSJoinResult:
     """Functional shorthand for ``SSJoin(left, right, pred).execute(...)``."""

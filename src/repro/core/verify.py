@@ -81,6 +81,7 @@ from zlib import crc32
 
 from repro.core.predicate import (
     OVERLAP_EPSILON,
+    OVERLAP_SHRINK,
     AbsoluteBound,
     LeftNormBound,
     MaxNormBound,
@@ -88,6 +89,7 @@ from repro.core.predicate import (
     RightNormBound,
     SumNormBound,
 )
+from repro.errors import PlanError
 
 if TYPE_CHECKING:  # circular-import guard: encoded.py does not need us at import time
     from repro.core.encoded import EncodedPreparedRelation
@@ -117,9 +119,9 @@ __all__ = [
 ResultColumns = Tuple[List[object], List[object], List[float], List[float], List[float]]
 
 #: Bounds must only prune pairs the verify step would reject.  satisfied()
-#: admits ``overlap + OVERLAP_EPSILON >= threshold`` and the upper bounds
-#: themselves carry ~1-ulp float noise, so pruning keeps a margin of twice
-#: the shared epsilon below the threshold.
+#: admits ``overlap + OVERLAP_EPSILON >= threshold * OVERLAP_SHRINK`` and
+#: the upper bounds themselves carry ~1-ulp float noise, so pruning keeps a
+#: margin of twice the shared epsilon below that admission threshold.
 PRUNE_MARGIN = 2.0 * OVERLAP_EPSILON
 
 #: Signature width limits (bits).  Small widths still prune well because
@@ -258,6 +260,16 @@ class VerifyConfig:
     """
 
     signature_bits: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        bits = self.signature_bits
+        # bool is an int subclass; True is not a width.
+        if bits is not None and (
+            isinstance(bits, bool) or not isinstance(bits, int) or bits < 0
+        ):
+            raise PlanError(
+                f"signature_bits must be None or an int >= 0, got {bits!r}"
+            )
 
     @classmethod
     def disabled(cls) -> "VerifyConfig":
@@ -613,6 +625,7 @@ class VerificationEngine:
         sum_left_to_right = _sum_left_to_right
         margin = PRUNE_MARGIN
         epsilon = OVERLAP_EPSILON
+        shrink = OVERLAP_SHRINK
         n_cand = position_pruned = bitmap_pruned = merges = 0
         # Specialized pair threshold: per group, hoist the norm_r part of
         # each linear conjunct; the candidate loop then pays a few FLOPs,
@@ -704,6 +717,10 @@ class VerificationEngine:
                         theta_rev = fl0 * norm_s + b0 + off0
                     else:
                         theta_rev = threshold(norm_s, norm_r)
+                    theta_rev *= shrink
+                # The admission threshold of satisfied(): the same product
+                # as predicate.admission_threshold.
+                theta *= shrink
                 if nbits:
                     cutoff = theta - margin
                     bound_weight = total_weight
@@ -778,7 +795,8 @@ class VerificationEngine:
                 ]
         weights = list(map(self._total_for, groups))
         epsilon = OVERLAP_EPSILON
-        admitted = [w + epsilon >= t for w, t in zip(weights, thetas)]
+        shrink = OVERLAP_SHRINK
+        admitted = [w + epsilon >= t * shrink for w, t in zip(weights, thetas)]
         out_l, out_r, out_ov = self._rows
         out_l.extend(compress(groups, admitted))
         out_r.extend(compress(groups, admitted))

@@ -24,7 +24,7 @@ similarity functions may still assign such pairs a nonzero score (e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.metrics import ExecutionMetrics
 from repro.core.physical import SSJoinResult
@@ -146,7 +146,7 @@ def run_join_plan(
     plan: PlanNode,
     node: SSJoinNode,
     metrics: Optional[ExecutionMetrics] = None,
-    workers: Optional[Union[int, str]] = None,
+    workers: Optional[int] = None,
 ) -> Tuple[Relation, SSJoinResult]:
     """Execute a composed join plan under one :class:`ExecutionContext`."""
     relation = plan.execute(ExecutionContext(metrics=metrics, workers=workers))

@@ -66,7 +66,7 @@ def cosine_join(
     tokenizer: Tokenizer = words,
     weights: Union[str, WeightTable, None] = "idf",
     implementation: str = "auto",
-    workers: Optional[Union[int, str]] = None,
+    workers: Optional[int] = None,
 ) -> SimilarityJoinResult:
     """Pairs whose binary (set-of-tokens) cosine similarity is ⩾ *threshold*.
 

@@ -15,7 +15,7 @@ the customized algorithm of [9] special-cases short strings.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.metrics import PHASE_FILTER, PHASE_PREP, ExecutionMetrics
 from repro.core.predicate import MaxNormBound, OverlapPredicate
@@ -65,7 +65,7 @@ def edit_distance_join(
     epsilon: int = 1,
     q: int = 3,
     implementation: str = "auto",
-    workers: Optional[Union[int, str]] = None,
+    workers: Optional[int] = None,
 ) -> SimilarityJoinResult:
     """All pairs within edit distance *epsilon* (the form addressed in [9]).
 
@@ -137,7 +137,7 @@ def edit_similarity_join(
     threshold: float = 0.8,
     q: int = 3,
     implementation: str = "auto",
-    workers: Optional[Union[int, str]] = None,
+    workers: Optional[int] = None,
 ) -> SimilarityJoinResult:
     """All pairs with edit similarity ⩾ *threshold* (Definition 2).
 

@@ -81,7 +81,7 @@ def ges_join(
     beta: Optional[float] = None,
     weights: Union[str, WeightTable, None] = "idf",
     implementation: str = "auto",
-    workers: Optional[Union[int, str]] = None,
+    workers: Optional[int] = None,
 ) -> SimilarityJoinResult:
     """Pairs with ``GES(l, r) ≥ threshold`` (Definition 6; asymmetric).
 

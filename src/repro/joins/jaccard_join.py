@@ -66,7 +66,7 @@ def jaccard_containment_join(
     tokenizer: Tokenizer = words,
     weights: Union[str, WeightTable, None] = "idf",
     implementation: str = "auto",
-    workers: Optional[Union[int, str]] = None,
+    workers: Optional[int] = None,
 ) -> SimilarityJoinResult:
     """Pairs with ``JC(Set(l), Set(r)) ≥ threshold`` (Definition 5.1).
 
@@ -126,7 +126,7 @@ def jaccard_resemblance_join(
     tokenizer: Tokenizer = words,
     weights: Union[str, WeightTable, None] = "idf",
     implementation: str = "auto",
-    workers: Optional[Union[int, str]] = None,
+    workers: Optional[int] = None,
 ) -> SimilarityJoinResult:
     """Pairs with ``JR(Set(l), Set(r)) ≥ threshold`` (Definition 5.2).
 

@@ -1,11 +1,12 @@
 """Multi-core parallel SSJoin execution (Layer 5).
 
-Shard planning (:mod:`repro.parallel.shards`), adaptive scheduling
-(:mod:`repro.parallel.scheduler`), worker kernels
+The encoded-prefix plan over token-range shards: shard planning
+(:mod:`repro.parallel.shards`), the worker kernel
 (:mod:`repro.parallel.worker`), and the process-pool executor
 (:mod:`repro.parallel.executor`).  Entry points: the
-:func:`parallel_ssjoin` function here, or ``workers=`` on
-:meth:`repro.core.ssjoin.SSJoin.execute`.
+:func:`parallel_ssjoin` function here, or ``workers=N`` on
+:meth:`repro.core.ssjoin.SSJoin.execute`.  Every other plan runs
+in-process under ``workers=N``, with the same rows.
 """
 
 from repro.parallel.executor import (
@@ -16,21 +17,8 @@ from repro.parallel.executor import (
     canonical_sort_key,
     parallel_ssjoin,
 )
-from repro.parallel.scheduler import (
-    OVERSPLIT,
-    available_workers,
-    choose_workers,
-    shard_count,
-)
-from repro.parallel.shards import (
-    KIND_GROUP_HASH,
-    KIND_TOKEN_RANGE,
-    ShardDescriptor,
-    plan_group_shards,
-    plan_token_range_shards,
-)
+from repro.parallel.shards import ShardDescriptor, plan_token_range_shards
 from repro.parallel.worker import (
-    GroupHashPayload,
     ShardResult,
     TokenRangePayload,
     execute_shard,
@@ -39,21 +27,13 @@ from repro.parallel.worker import (
 __all__ = [
     "BACKEND_PROCESS",
     "BACKEND_SERIAL",
-    "GroupHashPayload",
-    "KIND_GROUP_HASH",
-    "KIND_TOKEN_RANGE",
-    "OVERSPLIT",
     "ParallelReport",
     "ShardDescriptor",
     "ShardResult",
     "ShardTiming",
     "TokenRangePayload",
-    "available_workers",
     "canonical_sort_key",
-    "choose_workers",
     "execute_shard",
     "parallel_ssjoin",
-    "plan_group_shards",
     "plan_token_range_shards",
-    "shard_count",
 ]

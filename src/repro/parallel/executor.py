@@ -1,20 +1,20 @@
 """The parallel SSJoin executor: shard, dispatch, merge.
 
 :func:`parallel_ssjoin` is the multi-core twin of
-:meth:`repro.core.ssjoin.SSJoin.execute`.  The flow:
+:meth:`repro.core.ssjoin.SSJoin.execute`.  Only the encoded-prefix plan
+runs in shards; every other plan, and ``workers=1``, runs in-process
+(``mode="sequential"``).  The flow for the encoded-prefix plan:
 
-1. Resolve the physical implementation (cost model, as sequential) and
-   the worker count (:func:`repro.parallel.scheduler.choose_workers` —
-   ``"auto"`` falls back to sequential below the crossover).
-2. Plan shards — token-range for the encoded-prefix plan (each shard
-   owns a disjoint slice of the prefix inverted index), group-hash for
-   everything else — oversplit ~4× the worker count, and check the plan
-   against the ``SSJ108`` coverage invariant before any work runs.
-3. Dispatch largest-first to a ``ProcessPoolExecutor`` whose initializer
+1. Encode and compute β-prefix lengths once in the parent, then tile the
+   dictionary id space into :data:`SHARDS_PER_WORKER` × *workers*
+   token-range shards (each owns a disjoint slice of the prefix inverted
+   index), and check the plan against the ``SSJ108`` coverage invariant
+   before any work runs.
+2. Dispatch largest-first to a ``ProcessPoolExecutor`` whose initializer
    ships each worker ONE pickled payload (or run shards inline with the
    ``serial`` backend — same shard code, no processes; used by the
-   property-test suite and automatically when ``fork`` is unavailable).
-4. Merge: per-shard :class:`~repro.core.metrics.ExecutionMetrics` fold
+   property-test suite).
+3. Merge: per-shard :class:`~repro.core.metrics.ExecutionMetrics` fold
    into the caller's metrics (counter totals equal the sequential
    run's), rows are canonically sorted so the result relation is
    byte-identical for every worker count and backend, and a
@@ -35,7 +35,7 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.basic import RESULT_SCHEMA
 from repro.core.encoded import encode_pair
@@ -47,7 +47,7 @@ from repro.core.optimizer import (
     CostModel,
     unknown_implementation,
 )
-from repro.core.ordering import ElementOrdering, frequency_ordering
+from repro.core.ordering import ElementOrdering
 from repro.core.predicate import OverlapPredicate
 from repro.core.prepared import PreparedRelation
 from repro.core.ssjoin import SSJoin, SSJoinResult
@@ -59,18 +59,9 @@ from repro.core.verify import (
     weights_by_token_for,
 )
 from repro.errors import PlanError
-from repro.parallel.scheduler import OVERSPLIT, choose_workers, shard_count
-from repro.parallel.shards import (
-    KIND_TOKEN_RANGE,
-    ShardDescriptor,
-    plan_group_shards,
-    plan_token_range_shards,
-)
+from repro.parallel.shards import ShardDescriptor, plan_token_range_shards
 from repro.parallel.worker import (
-    GroupHashPayload,
-    Payload,
     ShardResult,
-    StoredTokenRangePayload,
     TokenRangePayload,
     execute_shard,
     init_worker,
@@ -92,6 +83,10 @@ BACKEND_PROCESS = "process"
 BACKEND_SERIAL = "serial"
 #: Environment override for the default backend (tests set ``serial``).
 BACKEND_ENV = "REPRO_PARALLEL_BACKEND"
+#: Token-range shards planned per worker. 4× keeps the largest shard near
+#: 25% of one worker's fair share, so largest-first dispatch can absorb
+#: heavy-token skew without drowning the run in per-task overhead.
+SHARDS_PER_WORKER = 4
 
 
 def canonical_sort_key(row: Sequence[Any]) -> Tuple[str, str]:
@@ -110,7 +105,6 @@ class ShardTiming:
     """One shard's contribution to the run, as reported to telemetry."""
 
     shard_id: int
-    kind: str
     est_cost: float
     seconds: float
     rows: int
@@ -118,7 +112,6 @@ class ShardTiming:
     def to_dict(self) -> dict:
         return {
             "shard_id": self.shard_id,
-            "kind": self.kind,
             "est_cost": round(self.est_cost, 3),
             "seconds": self.seconds,
             "rows": self.rows,
@@ -138,11 +131,9 @@ class ParallelReport:
     """
 
     mode: str  # "parallel" or "sequential"
-    strategy: Optional[str]
     backend: Optional[str]
-    requested: Union[int, str]
+    requested: int
     workers: int
-    oversplit: int
     wall_seconds: float
     shards: Tuple[ShardTiming, ...] = ()
 
@@ -171,37 +162,16 @@ class ParallelReport:
             loads[b] += s.seconds
         return max(loads)
 
-    @property
-    def modeled_wall_seconds(self) -> float:
-        """``wall_seconds`` with the shard portion replaced by the critical
-        path: parent-side work (encode, prefix, shipping, dispatch) stays
-        as measured, shard execution is counted as its makespan over the
-        run's workers.  On a machine with a free core per worker this IS
-        the wall time; on an oversubscribed machine (where the processes
-        time-slice and measured wall cannot shrink) it is the honest
-        scalability figure the bench's speedup rows report.
-        """
-        if not self.shards:
-            # Sequential run: nothing to replay, the model IS the wall.
-            # (critical_path_seconds falls back to wall_seconds here, so
-            # the general formula below would double-count it.)
-            return self.wall_seconds
-        adjusted = self.wall_seconds - self.serial_shard_seconds + self.critical_path_seconds
-        return max(adjusted, self.critical_path_seconds)
-
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
-            "strategy": self.strategy,
             "backend": self.backend,
             "requested": self.requested,
             "workers": self.workers,
-            "oversplit": self.oversplit,
             "n_shards": self.n_shards,
             "wall_seconds": self.wall_seconds,
             "serial_shard_seconds": self.serial_shard_seconds,
             "critical_path_seconds": self.critical_path_seconds,
-            "modeled_wall_seconds": self.modeled_wall_seconds,
             "shards": [s.to_dict() for s in self.shards],
         }
 
@@ -245,13 +215,12 @@ def parallel_ssjoin(
     left: PreparedRelation,
     right: PreparedRelation,
     predicate: OverlapPredicate,
-    workers: Union[int, str] = "auto",
+    workers: int,
     implementation: str = "auto",
     ordering: Optional[ElementOrdering] = None,
     metrics: Optional[ExecutionMetrics] = None,
     cost_model: Optional[CostModel] = None,
     backend: Optional[str] = None,
-    oversplit: int = OVERSPLIT,
     verify_config: Optional[VerifyConfig] = None,
     encoding_cache: Optional[Any] = None,
 ) -> SSJoinResult:
@@ -260,86 +229,58 @@ def parallel_ssjoin(
     Parameters mirror :meth:`SSJoin.execute` plus:
 
     workers:
-        Worker count, or ``"auto"`` to let the cost model pick (which
-        resolves to 1 — plain sequential execution — whenever spawn +
-        shipping overhead would exceed the parallel win).
+        Worker count, an ``int >= 1``; anything else raises
+        :class:`~repro.errors.PlanError`.  Only the encoded-prefix plan
+        runs in shards; other plans run in-process with the same rows.
     backend:
         ``"process"`` (default; also via ``REPRO_PARALLEL_BACKEND``) or
         ``"serial"``, which runs the identical shard code in-process —
         same results and metrics, no pool; what the equivalence property
         tests sweep.
-    oversplit:
-        Shards planned per worker (default 4; see the scheduler).
     verify_config:
         Verification-engine tuning (:class:`repro.core.verify.VerifyConfig`;
-        ``None`` = auto).  For token-range shards the signature columns
-        are packed once in the parent and shipped with the payload, so
-        every shard prunes with identical bounds and the merged
-        per-stage counters equal the sequential run's.
+        ``None`` = auto).  The signature columns are packed once in the
+        parent and shipped with the payload, so every shard prunes with
+        identical bounds and the merged per-stage counters equal the
+        sequential run's.
     encoding_cache:
         A context-scoped :class:`repro.core.encoded.EncodingCache` for
         the parent-side encode phase (``None`` = the process-global
         cache). A cache seeded from an attached
         :class:`repro.storage.store.StoredTable` makes the encode phase
-        a pure lookup, and its persisted ``storage_ref`` is what lets
-        the process backend ship slim by-reference payloads.
+        a pure lookup.
 
     Returns an :class:`SSJoinResult` whose ``pairs`` rows are in
     canonical order and whose ``parallel`` attribute (also
     ``metrics.parallel_stats``) carries the :class:`ParallelReport`.
     """
+    # bool is an int subclass; reject it along with non-ints and "auto".
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise PlanError(f"workers must be an int >= 1, got {workers!r}")
     m = metrics if metrics is not None else ExecutionMetrics()
-    model = cost_model or CostModel()
 
     if implementation != "auto" and implementation not in IMPLEMENTATIONS:
         raise unknown_implementation(implementation)
-
-    # Cost estimation is only consulted when something is left to choose:
-    # with an explicit implementation AND an explicit worker count the
-    # estimate_all pass (which extracts a sample of prefixes to size the
-    # candidate sets) is pure overhead on the hot path.
     chosen: Optional[CostEstimate] = None
-    if implementation == "auto" or workers == "auto":
-        estimates = model.estimate_all(left, right, predicate, ordering)
-        if implementation == "auto":
-            chosen = estimates[0]
-        else:
-            # ``probe`` is runnable but unpriced: no estimate, cost 0, so
-            # workers="auto" resolves it to sequential.
-            chosen = next(
-                (e for e in estimates if e.implementation == implementation), None
-            )
+    if implementation == "auto":
+        model = cost_model or CostModel()
+        chosen = model.estimate_all(left, right, predicate, ordering)[0]
     impl = chosen.implementation if chosen is not None else implementation
-    sequential_cost = chosen.cost if chosen is not None else 0.0
 
-    ship_elements = left.num_elements + right.num_elements
-    n_workers = choose_workers(
-        workers, sequential_cost, ship_elements, model=model, oversplit=oversplit
-    )
-    if n_workers <= 1 or left.num_groups == 0:
+    if workers == 1 or impl != "encoded-prefix" or left.num_groups == 0:
         return _sequential(
             left, right, predicate, impl, chosen, ordering, m, workers,
-            verify_config,
+            verify_config, encoding_cache,
         )
 
     start = time.perf_counter()
-    n_shards = shard_count(n_workers, oversplit)
-    stored_payload: Optional[StoredTokenRangePayload] = None
-    if impl == "encoded-prefix":
-        strategy = KIND_TOKEN_RANGE
-        payload, shards, universe, stored_payload = _plan_token_range(
-            left, right, predicate, ordering, n_shards, m, verify_config,
-            encoding_cache=encoding_cache,
-        )
-    else:
-        strategy = "group-hash"
-        payload, shards = _plan_group_hash(
-            left, right, predicate, impl, ordering, n_shards, verify_config
-        )
-        universe = left.num_groups
+    payload, shards, universe = _plan_token_range(
+        left, right, predicate, ordering, workers * SHARDS_PER_WORKER, m,
+        verify_config, encoding_cache=encoding_cache,
+    )
 
     # Check the shard plan against the SSJ108 coverage invariant before
-    # dispatch: exact tiling / exact partition, no overlap, no gap.
+    # dispatch: exact tiling, no overlap, no gap.
     # Imported lazily — repro.analysis sits above repro.parallel.
     from repro.analysis.invariants import check_shards
 
@@ -348,9 +289,7 @@ def parallel_ssjoin(
     resolved_backend = _resolve_backend(backend)
     dispatch = sorted(shards, key=lambda s: (-s.est_cost, s.shard_id))
     if resolved_backend == BACKEND_PROCESS:
-        # Prefer the slim by-reference payload: workers map the page
-        # files read-only instead of unpickling the columnar arrays.
-        results = _run_process_pool(stored_payload or payload, dispatch, n_workers)
+        results = _run_process_pool(payload, dispatch, workers)
     else:
         results = [execute_shard(payload, s) for s in dispatch]
     results.sort(key=lambda r: r.shard_id)
@@ -363,26 +302,18 @@ def parallel_ssjoin(
             dst.extend(src)
         m.merge(r.metrics)
     m.implementation = impl
-    m.extra["parallel_payload"] = (
-        "stored-ref"
-        if resolved_backend == BACKEND_PROCESS and stored_payload is not None
-        else "pickled"
-    )
 
-    by_id = {s.shard_id: s for s in shards}
+    est_cost = {s.shard_id: s.est_cost for s in shards}
     report = ParallelReport(
         mode="parallel",
-        strategy=strategy,
         backend=resolved_backend,
         requested=workers,
-        workers=n_workers,
-        oversplit=oversplit,
+        workers=workers,
         wall_seconds=time.perf_counter() - start,
         shards=tuple(
             ShardTiming(
                 shard_id=r.shard_id,
-                kind=by_id[r.shard_id].kind,
-                est_cost=by_id[r.shard_id].est_cost,
+                est_cost=est_cost[r.shard_id],
                 seconds=r.seconds,
                 rows=r.num_rows,
             )
@@ -407,21 +338,20 @@ def _sequential(
     estimate: Optional[CostEstimate],
     ordering: Optional[ElementOrdering],
     m: ExecutionMetrics,
-    requested: Union[int, str],
-    verify_config: Optional[VerifyConfig] = None,
+    requested: int,
+    verify_config: Optional[VerifyConfig],
+    encoding_cache: Optional[Any],
 ) -> SSJoinResult:
-    """The workers<=1 path: plain SSJoin, canonical order, mode marker."""
+    """The in-process path: plain SSJoin, canonical order, mode marker."""
     start = time.perf_counter()
     result = SSJoin(left, right, predicate, ordering=ordering).execute(
-        impl, metrics=m, verify_config=verify_config
+        impl, metrics=m, verify_config=verify_config, encoding_cache=encoding_cache
     )
     report = ParallelReport(
         mode="sequential",
-        strategy=None,
         backend=None,
         requested=requested,
         workers=1,
-        oversplit=0,
         wall_seconds=time.perf_counter() - start,
     )
     m.parallel_stats = report.to_dict()
@@ -434,33 +364,6 @@ def _sequential(
     )
 
 
-def _plan_group_hash(
-    left: PreparedRelation,
-    right: PreparedRelation,
-    predicate: OverlapPredicate,
-    impl: str,
-    ordering: Optional[ElementOrdering],
-    n_shards: int,
-    verify_config: Optional[VerifyConfig] = None,
-) -> Tuple[GroupHashPayload, List[ShardDescriptor]]:
-    # The ordering must be the *global* one so every shard's prefixes (and
-    # merged counters) match the unsharded run; resolve it here, never in
-    # a worker, where only the left subset would be visible.
-    resolved = ordering if ordering is not None else frequency_ordering(left, right)
-    payload = GroupHashPayload(
-        # Fresh copies so pickling ships groups and norms, not the lazily
-        # accumulated caches (token statistics, base-relation views) hanging
-        # off long-lived relations.
-        left=PreparedRelation.from_sets(dict(left.groups), dict(left.norms), name=left.name),
-        right=PreparedRelation.from_sets(dict(right.groups), dict(right.norms), name=right.name),
-        predicate=predicate,
-        implementation=impl,
-        ordering=resolved,
-        verify_config=verify_config,
-    )
-    return payload, plan_group_shards(left, n_shards)
-
-
 def _plan_token_range(
     left: PreparedRelation,
     right: PreparedRelation,
@@ -470,12 +373,7 @@ def _plan_token_range(
     m: ExecutionMetrics,
     verify_config: Optional[VerifyConfig] = None,
     encoding_cache: Optional[Any] = None,
-) -> Tuple[
-    TokenRangePayload,
-    List[ShardDescriptor],
-    int,
-    Optional[StoredTokenRangePayload],
-]:
+) -> Tuple[TokenRangePayload, List[ShardDescriptor], int]:
     # Encode + prefix phases run once in the parent (cache-hot, and
     # identical to the sequential plan's PREP/PREFIX work); workers get
     # the finished arrays and only execute SSJOIN/FILTER.
@@ -550,34 +448,19 @@ def _plan_token_range(
     shards = plan_token_range_shards(
         enc_left.ids, left_prefix, enc_right.ids, right_prefix, universe, n_shards
     )
-    # Disk-backed encodings ship by reference: workers re-open the page
-    # files read-only and rehydrate (prefix lengths, signatures) instead
-    # of receiving the pickled columns — a few hundred payload bytes per
-    # worker regardless of relation size.
-    stored: Optional[StoredTokenRangePayload] = None
-    left_ref = enc_left.storage_ref
-    right_ref = left_ref if enc_right is enc_left else enc_right.storage_ref
-    if left_ref and right_ref:
-        stored = StoredTokenRangePayload(
-            left_ref=left_ref,
-            right_ref=right_ref,
-            predicate=predicate,
-            verify_bits=nbits,
-            verify_engine=not cfg.inert,
-        )
-    plan = (payload, shards, universe, stored)
+    plan = (payload, shards, universe)
     enc_left.prefix_cache[cache_key] = plan
     return plan
 
 
 def _run_process_pool(
-    payload: "Union[Payload, StoredTokenRangePayload]",
+    payload: TokenRangePayload,
     dispatch: List[ShardDescriptor],
-    n_workers: int,
+    workers: int,
 ) -> List[ShardResult]:
     payload_bytes = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     with ProcessPoolExecutor(
-        max_workers=n_workers,
+        max_workers=workers,
         initializer=init_worker,
         initargs=(payload_bytes,),
     ) as pool:

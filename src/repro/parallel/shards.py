@@ -1,34 +1,21 @@
-"""Shard planning: partition SSJoin work for multi-worker execution.
+"""Shard planning: tile the encoded-prefix join's token-id space.
 
-Two partitioning strategies, mirroring how the related batch systems
-scale out (PPJoin-family token sharding; Vernica et al.'s prefix-token
-MapReduce join):
+The dictionary id space ``[0, |universe|)`` is tiled into contiguous
+ranges, and each shard owns the slice of the prefix inverted index whose
+token ids fall in its range (the PPJoin-family token sharding; Vernica
+et al.'s prefix-token MapReduce join).  A candidate pair can share
+prefix tokens across several ranges; the shard owning the pair's
+*smallest* common prefix token id emits it (every shard can decide
+ownership locally because it holds both sides' full id arrays), so
+candidate enumeration never duplicates pairs.
 
-* **group-hash** — the left relation's groups are distributed over
-  shards (deterministic cost-balanced assignment over group positions).
-  Each shard joins its left groups against the *full* right side, so any
-  physical implementation can run per shard and the union over shards is
-  exactly the unpartitioned result (left groups are disjoint, so no pair
-  is produced twice).
-* **token-range** — for the encoded-prefix plan: the dictionary id space
-  ``[0, |universe|)`` is tiled into contiguous ranges, and each shard
-  owns the slice of the prefix inverted index whose token ids fall in
-  its range.  A candidate pair can share prefix tokens across several
-  ranges; the shard owning the pair's *smallest* common prefix token id
-  emits it (every shard can decide ownership locally because it holds
-  both sides' full id arrays), so candidate enumeration never duplicates
-  pairs.
-
-Both planners emit :class:`ShardDescriptor` lists whose coverage is
-checked by the ``SSJ108`` invariant rule
-(:func:`repro.analysis.invariants.verify_shards`): group-hash shards
-must partition the group positions exactly; token-range shards must tile
+The planner's output is checked by the ``SSJ108`` invariant rule
+(:func:`repro.analysis.invariants.verify_shards`): the ranges must tile
 the dictionary ordering without gap or overlap.
 
-Shard sizing is *adaptive*: planners take per-unit cost estimates (group
-element counts; per-token posting products) and oversplit the requested
-worker count so the executor's largest-first dispatch can absorb skew
-from heavy tokens or giant groups (see :mod:`repro.parallel.scheduler`).
+Ranges are cut at ~equal estimated cost (per-token posting products),
+and the executor plans several shards per worker so its largest-first
+dispatch can absorb skew from heavy tokens.
 """
 
 from __future__ import annotations
@@ -36,98 +23,38 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.prepared import PreparedRelation
 from repro.errors import PlanError
 
-__all__ = [
-    "KIND_GROUP_HASH",
-    "KIND_TOKEN_RANGE",
-    "ShardDescriptor",
-    "plan_group_shards",
-    "plan_token_range_shards",
-]
-
-#: Shard kind: a subset of left-group positions joined against the full
-#: right side.
-KIND_GROUP_HASH = "group-hash"
-#: Shard kind: a contiguous token-id range ``[lo, hi)`` of the shared
-#: dictionary ordering (encoded-prefix plan).
-KIND_TOKEN_RANGE = "token-range"
+__all__ = ["ShardDescriptor", "plan_token_range_shards"]
 
 
 @dataclass(frozen=True)
 class ShardDescriptor:
-    """One unit of parallel work.
+    """One unit of parallel work: the token-id range ``[lo, hi)``.
 
-    ``lo``/``hi`` delimit the owned token-id range for token-range
-    shards; ``group_positions`` lists the owned left-group positions (in
-    the prepared relation's group order) for group-hash shards.
-    ``est_cost`` is the scheduler's relative cost estimate, used for
+    ``est_cost`` is the planner's relative cost estimate, used for
     largest-first dispatch — comparisons only, no unit.
     """
 
     shard_id: int
-    kind: str
     lo: int = 0
     hi: int = 0
-    group_positions: Tuple[int, ...] = ()
     est_cost: float = 0.0
-    #: Token-range only: positions of the left/right groups whose β-prefix
-    #: intersects ``[lo, hi)``, ascending, with the parallel entry in
-    #: ``*_starts`` giving the offset of the group's first in-range prefix
-    #: token.  The planner records both during the same prefix walk that
-    #: builds its cost histogram, so a worker visits only the groups that
-    #: can contribute to its range — and starts each walk at the right
-    #: offset with no per-group bisects.  ``None`` (not planned, e.g. a
-    #: hand-built descriptor) falls back to scanning every group.
+    #: Positions of the left/right groups whose β-prefix intersects
+    #: ``[lo, hi)``, ascending, with the parallel entry in ``*_starts``
+    #: giving the offset of the group's first in-range prefix token.  The
+    #: planner records both during the same prefix walk that builds its
+    #: cost histogram, so a worker visits only the groups that can
+    #: contribute to its range — and starts each walk at the right offset
+    #: with no per-group bisects.  ``None`` (not planned, e.g. a hand-built
+    #: descriptor) falls back to scanning every group.
     left_groups: Optional[Tuple[int, ...]] = None
     right_groups: Optional[Tuple[int, ...]] = None
     left_starts: Optional[Tuple[int, ...]] = None
     right_starts: Optional[Tuple[int, ...]] = None
 
     def __repr__(self) -> str:
-        if self.kind == KIND_TOKEN_RANGE:
-            span = f"ids[{self.lo}:{self.hi})"
-        else:
-            span = f"groups={len(self.group_positions)}"
-        return f"<Shard {self.shard_id} {self.kind} {span} cost~{self.est_cost:.0f}>"
-
-
-def plan_group_shards(
-    prepared: PreparedRelation, n_shards: int
-) -> List[ShardDescriptor]:
-    """Partition the left groups into at most *n_shards* balanced shards.
-
-    Assignment is deterministic longest-processing-time: groups are
-    walked largest-first (element count, position tiebreak) and each goes
-    to the currently lightest shard.  Builtin ``hash`` is deliberately
-    not used — it is salted per process, and shard plans must be
-    reproducible across runs and workers.
-    """
-    if n_shards < 1:
-        raise PlanError(f"n_shards must be >= 1, got {n_shards}")
-    sizes = [len(s) for s in prepared.groups.values()]
-    if not sizes:
-        return []
-    n = min(n_shards, len(sizes))
-    order = sorted(range(len(sizes)), key=lambda g: (-sizes[g], g))
-    bins: List[List[int]] = [[] for _ in range(n)]
-    loads = [0.0] * n
-    for g in order:
-        b = min(range(n), key=lambda i: (loads[i], i))
-        bins[b].append(g)
-        # +1 keeps empty/tiny groups from all landing in one shard.
-        loads[b] += sizes[g] + 1.0
-    return [
-        ShardDescriptor(
-            shard_id=i,
-            kind=KIND_GROUP_HASH,
-            group_positions=tuple(sorted(bins[i])),
-            est_cost=loads[i],
-        )
-        for i in range(n)
-        if bins[i]
-    ]
+        return f"<Shard {self.shard_id} ids[{self.lo}:{self.hi}) cost~{self.est_cost:.0f}>"
 
 
 def plan_token_range_shards(
@@ -189,7 +116,7 @@ def plan_token_range_shards(
         ):
             shards.append(
                 ShardDescriptor(
-                    shard_id=len(shards), kind=KIND_TOKEN_RANGE,
+                    shard_id=len(shards),
                     lo=lo, hi=t + 1, est_cost=acc,
                 )
             )
@@ -197,7 +124,7 @@ def plan_token_range_shards(
             acc = 0.0
     shards.append(
         ShardDescriptor(
-            shard_id=len(shards), kind=KIND_TOKEN_RANGE,
+            shard_id=len(shards),
             lo=lo, hi=universe, est_cost=acc,
         )
     )

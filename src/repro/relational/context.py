@@ -46,8 +46,8 @@ class ExecutionContext:
         Optional :class:`repro.core.verify.VerifyConfig` tuning the bitmap
         verification engine; ``None`` resolves widths automatically.
     workers:
-        ``None`` for sequential execution, an ``int >= 1`` or ``"auto"``
-        to route SSJoin nodes through the parallel executor.
+        ``None`` for sequential execution, or an ``int >= 1`` to route
+        SSJoin nodes through the parallel executor.
     encoding_cache:
         Optional :class:`repro.core.encoded.EncodingCache` override for
         the dictionary-encoded plans; ``None`` uses the process-global
@@ -67,7 +67,7 @@ class ExecutionContext:
         metrics: Any = None,
         cost_model: Any = None,
         verify_config: Any = None,
-        workers: Optional[Union[int, str]] = None,
+        workers: Optional[int] = None,
         encoding_cache: Any = None,
         verify: bool = False,
         batch_size: Optional[int] = None,

@@ -29,7 +29,6 @@ from repro.storage.store import (
     StoredRelation,
     StoredTable,
     ingest_prepared,
-    load_encoded_ref,
     open_table,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "dictionary_generation",
     "global_buffer_pool",
     "ingest_prepared",
-    "load_encoded_ref",
     "open_table",
     "stable_fingerprint",
 ]

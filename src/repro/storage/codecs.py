@@ -352,12 +352,8 @@ def read_encoded(
         lo, hi = offsets[g], offsets[g + 1]
         ids.append(flat_ids[lo:hi])
         weights.append(flat_weights[lo:hi])
-    # The ref records file AND segment prefix, so a worker process can
-    # re-open exactly this encoding (see store.load_encoded_ref).
-    ref = f"{reader.path}::{prefix}" if prefix else reader.path
     return EncodedPreparedRelation.from_columns(
-        prepared, dictionary, ids, weights, norms, set_norms,
-        storage_ref=ref,
+        prepared, dictionary, ids, weights, norms, set_norms
     )
 
 

@@ -65,7 +65,6 @@ __all__ = [
     "StoredRelation",
     "StoredTable",
     "ingest_prepared",
-    "load_encoded_ref",
     "open_table",
 ]
 
@@ -367,49 +366,6 @@ def ingest_prepared(
         raise
     writer.close()
     return open_table(path)
-
-
-def load_encoded_ref(
-    ref: str, pool: Optional[BufferPool] = None
-) -> EncodedPreparedRelation:
-    """Re-open an encoding by its ``storage_ref`` (``path`` or
-    ``path::prefix``) without touching the group segments.
-
-    This is the worker-side rehydration path: a pool worker receives a
-    slim :class:`repro.parallel.worker.StoredTokenRangePayload` (paths,
-    not pickled columns), maps the pages read-only, and adopts the
-    columnar arrays. The result carries no ``prepared`` backing — it is
-    exactly the keys/ids/weights/norms/set_norms surface the token-range
-    kernels, ``group_prefix_lengths`` and the verification packers read.
-    """
-    path, _, prefix = ref.partition("::")
-    with PageFileReader(path, pool=pool) as reader:
-        dictionary, generation = codecs.read_dictionary(reader)
-        meta = codecs._loads(reader.segment(f"{prefix}enc/meta"))
-        codecs.check_generation("encoding", meta.get("generation"), generation, path)
-        keys = codecs._loads(reader.segment(f"{prefix}enc/keys"))
-        offsets = codecs._array_from("q", reader.segment(f"{prefix}enc/offsets"))
-        flat_ids = codecs._array_from("q", reader.segment(f"{prefix}enc/ids"))
-        flat_weights = codecs._array_from("d", reader.segment(f"{prefix}enc/weights"))
-        norms = codecs._array_from("d", reader.segment(f"{prefix}enc/norms"))
-        set_norms = codecs._array_from("d", reader.segment(f"{prefix}enc/set_norms"))
-    enc = EncodedPreparedRelation.__new__(EncodedPreparedRelation)
-    enc.prepared = None  # type: ignore[assignment]
-    enc.dictionary = dictionary
-    enc.prefix_cache = {}
-    enc.verify_cache = {}
-    enc.storage_ref = ref
-    enc.keys = keys
-    enc._num_elements = None
-    enc.ids = [
-        flat_ids[offsets[g] : offsets[g + 1]] for g in range(len(offsets) - 1)
-    ]
-    enc.weights = [
-        flat_weights[offsets[g] : offsets[g + 1]] for g in range(len(offsets) - 1)
-    ]
-    enc.norms = norms
-    enc.set_norms = set_norms
-    return enc
 
 
 class EncodingStore:

@@ -1,5 +1,8 @@
 """Engine-hygiene lint: per-rule snippets plus the repo-clean gate."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.analysis import lint_paths, lint_source
@@ -193,3 +196,15 @@ def test_engine_hot_paths_are_lint_clean():
         ]
     )
     assert report.ok, report.render()
+
+
+def test_module_entry_point_runs_without_warnings():
+    """The CI step: ``python -W error::RuntimeWarning -m repro.analysis.lint``
+    exits 0 with nothing on stderr (no "found in sys.modules" warning)."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.analysis.lint"],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+    assert done.stderr == ""

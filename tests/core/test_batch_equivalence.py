@@ -184,11 +184,9 @@ class TestBatchMatchesRow:
             key=repr,
         )
         for workers in WORKERS:
-            # Verify-engine counters may differ between sequential and
-            # group-hash-sharded execution (shard-local signatures), so
-            # across workers only the join counters are pinned — but
-            # across morsel capacities, at a fixed worker count, *every*
-            # counter must be identical: batching is pure plumbing.
+            # Across workers only the join counters are pinned here —
+            # but across morsel capacities, at a fixed worker count,
+            # *every* counter must be identical: batching is pure plumbing.
             reference = None
             for size in BATCH_SIZES:
                 rows, metrics = _execute(
@@ -441,7 +439,7 @@ class TestSerialBackendBoundaryAdapter:
         left, right, predicate = self._relations()
         seq_metrics = ExecutionMetrics()
         seq = SSJoin(left, right, predicate).execute(
-            "prefix", metrics=seq_metrics
+            "encoded-prefix", metrics=seq_metrics
         )
         expected = sorted(seq.pairs.rows, key=canonical_sort_key)
         for workers in WORKERS:
@@ -451,7 +449,7 @@ class TestSerialBackendBoundaryAdapter:
                 right,
                 predicate,
                 workers=workers,
-                implementation="prefix",
+                implementation="encoded-prefix",
                 metrics=metrics,
                 backend=BACKEND_SERIAL,
             )
@@ -465,17 +463,18 @@ class TestSerialBackendBoundaryAdapter:
             _assert_counters_equal(metrics, seq_metrics, workers)
 
     def test_sequential_fallback_uses_same_adapter(self):
-        # workers="auto" on a tiny input resolves to the in-process
-        # sequential path, which now flows through the same
-        # _canonical_relation adapter as the merged parallel result.
+        # A plan other than encoded-prefix runs in-process under any
+        # worker count, and flows through the same _canonical_relation
+        # adapter as the merged parallel result.
         left, right, predicate = self._relations()
         result = parallel_ssjoin(
             left,
             right,
             predicate,
-            workers="auto",
+            workers=2,
             implementation="prefix",
             backend=BACKEND_SERIAL,
         )
+        assert result.parallel.mode == "sequential"
         rows = list(result.pairs.rows)
         assert rows == sorted(rows, key=canonical_sort_key)

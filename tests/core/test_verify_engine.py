@@ -30,6 +30,7 @@ from repro.core.verify import (
     signature_of,
     signatures_for,
 )
+from repro.errors import PlanError
 from repro.parallel import BACKEND_SERIAL, parallel_ssjoin
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -136,6 +137,20 @@ class TestWidthChooser:
         assert VerifyConfig.disabled().inert
         assert not VerifyConfig().inert
         assert VerifyConfig(signature_bits=0).inert  # width 0 = reference path
+
+    @pytest.mark.parametrize("bits", [-3, True, "8"])
+    def test_bad_width_is_a_plan_error(self, bits):
+        rel = PreparedRelation.from_strings(["a b c", "a b d"], lambda s: s.split())
+        pred = OverlapPredicate.two_sided(0.5)
+        with pytest.raises(PlanError, match="signature_bits"):
+            encoded_prefix_ssjoin(
+                rel, rel, pred, verify_config=VerifyConfig(signature_bits=bits)
+            )
+        with pytest.raises(PlanError, match="signature_bits"):
+            parallel_ssjoin(
+                rel, rel, pred, workers=2, implementation="encoded-prefix",
+                backend=BACKEND_SERIAL, verify_config=VerifyConfig(signature_bits=bits),
+            )
 
 
 class TestEngineEquivalence:

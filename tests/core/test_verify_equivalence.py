@@ -344,3 +344,26 @@ class TestFailurePathCorpus:
         assert _bits(sharded.pairs.rows) == _bits(
             sorted(off.rows, key=canonical_sort_key)
         )
+
+    def test_self_match_survives_summation_order_at_large_weights(self):
+        """Seven weights summing to 4.6e6: the encoded overlap of the set
+        with itself sums them in another order than its norm and lands
+        2 ulps (1.9e-9) below it — past the absolute epsilon.  Under
+        fraction 1.0 every plan must still match the set with itself."""
+        table = TableWeights({"heavy": 1e6, "c": 194304.39962929068})
+        rel = PreparedRelation.from_strings(
+            ["g0:heavy heavy heavy heavy c c c"],
+            lambda s: s.partition(":")[2].split(), weights=table, name="extreme",
+        )
+        predicate = OverlapPredicate.two_sided(1.0)
+        expected = {("g0:heavy heavy heavy heavy c c c",) * 2}
+        assert pairs_of(basic_ssjoin(rel, rel, predicate)) == expected
+        for width in (0, None, 8):
+            result = encoded_prefix_ssjoin(rel, rel, predicate, verify_config=_config(width))
+            assert pairs_of(result) == expected, f"width={width}"
+        for implementation in ("prefix", "inline", "probe", "encoded-prefix"):
+            result = parallel_ssjoin(
+                rel, rel, predicate, workers=2,
+                implementation=implementation, backend=BACKEND_SERIAL,
+            )
+            assert pairs_of(result.pairs) == expected, implementation

@@ -12,19 +12,15 @@ to float bits — and the same merged ``output_pairs`` /
 import pytest
 from hypothesis import given, settings
 
+from repro.core.encoded import EncodingCache
 from repro.core.metrics import ExecutionMetrics
 from repro.core.optimizer import IMPLEMENTATIONS
 from repro.core.predicate import OverlapPredicate
 from repro.core.prepared import PreparedRelation
 from repro.core.ssjoin import SSJoin
 from repro.errors import PlanError
-from repro.parallel import (
-    BACKEND_SERIAL,
-    KIND_GROUP_HASH,
-    KIND_TOKEN_RANGE,
-    canonical_sort_key,
-    parallel_ssjoin,
-)
+from repro.joins.jaccard_join import jaccard_resemblance_join
+from repro.parallel import BACKEND_SERIAL, canonical_sort_key, parallel_ssjoin
 
 from repro.tokenize.words import words
 
@@ -93,25 +89,58 @@ class TestStrategySelection:
     @given(prepared_relations("r"), prepared_relations("s"), predicates())
     @settings(max_examples=20, deadline=None)
     def test_strategy_follows_plan_family(self, left, right, predicate):
-        for implementation, kind in (
-            ("encoded-prefix", KIND_TOKEN_RANGE),
-            ("prefix", KIND_GROUP_HASH),
-        ):
-            report = parallel_ssjoin(
+        """Only encoded-prefix runs in shards; every other plan runs
+        in-process under ``workers=2``, with the sequential rows and
+        counters."""
+        for implementation in ("basic", "prefix", "inline", "probe"):
+            expected_rows, expected_metrics = _sequential(
+                left, right, predicate, implementation
+            )
+            metrics = ExecutionMetrics()
+            result = parallel_ssjoin(
                 left,
                 right,
                 predicate,
                 workers=2,
                 implementation=implementation,
+                metrics=metrics,
                 backend=BACKEND_SERIAL,
-            ).parallel
-            assert report is not None
-            if report.mode == "parallel":
-                assert report.strategy == kind
-                assert report.workers == 2
-            else:
-                # Empty/degenerate inputs fall back to sequential.
-                assert report.workers == 1
+            )
+            report = result.parallel
+            assert report.mode == "sequential", implementation
+            assert report.workers == 1
+            assert report.requested == 2
+            assert list(result.pairs.rows) == expected_rows, implementation
+            assert metrics.verify_stats() == expected_metrics.verify_stats()
+            assert metrics.output_pairs == expected_metrics.output_pairs
+            assert metrics.candidate_pairs == expected_metrics.candidate_pairs
+        report = parallel_ssjoin(
+            left,
+            right,
+            predicate,
+            workers=2,
+            implementation="encoded-prefix",
+            backend=BACKEND_SERIAL,
+        ).parallel
+        if report.mode == "parallel":
+            assert report.workers == 2
+        else:
+            # Empty inputs run in-process.
+            assert left.num_groups == 0
+            assert report.workers == 1
+
+    def test_unpriced_referee_runs_in_process(self):
+        """``probe`` has no cost estimate and no shard plan: a worker
+        count runs it in-process, as ``probe``, with the sequential rows."""
+        rel = PreparedRelation.from_strings(
+            [f"the tok{i} tok{i + 1}" for i in range(12)], words
+        )
+        pred = OverlapPredicate.two_sided(0.5)
+        result = parallel_ssjoin(rel, rel, pred, workers=2, implementation="probe")
+        assert result.parallel.mode == "sequential"
+        assert result.parallel.requested == 2
+        assert result.implementation == "probe"
+        assert list(result.pairs.rows) == _sequential(rel, rel, pred, "probe")[0]
 
     @given(prepared_relations("r"), prepared_relations("s"), predicates())
     @settings(max_examples=20, deadline=None)
@@ -127,6 +156,15 @@ class TestStrategySelection:
         assert report.mode == "sequential"
         assert report.workers == 1
 
+    def test_workers_one_encodes_into_the_context_cache(self):
+        rel = PreparedRelation.from_strings(["a b c", "a b d", "c d e"], words)
+        cache = EncodingCache()
+        parallel_ssjoin(
+            rel, rel, OverlapPredicate.two_sided(0.5), workers=1,
+            implementation="encoded-prefix", encoding_cache=cache,
+        )
+        assert cache.stats()["entries"] == 1
+
     def test_removed_plan_name_is_rejected_with_the_stated_list(self):
         rel = PreparedRelation.from_strings(["a b c", "a b d"], words)
         with pytest.raises(PlanError) as exc:
@@ -136,14 +174,13 @@ class TestStrategySelection:
             )
         assert str(exc.value).endswith(EXPECTED_NAMES)
 
-    def test_auto_workers_run_the_unpriced_referee_sequentially(self):
-        """``probe`` has no cost estimate, so ``workers="auto"`` has
-        nothing to divide and resolves to one worker instead of raising."""
-        rel = PreparedRelation.from_strings(
-            [f"the tok{i} tok{i + 1}" for i in range(12)], words
-        )
+    @pytest.mark.parametrize("workers", [True, 0, "auto", "fast"])
+    def test_rejects_bool_and_bad_values(self, workers):
+        rel = PreparedRelation.from_strings(["a b c", "a b d"], words)
         pred = OverlapPredicate.two_sided(0.5)
-        result = parallel_ssjoin(rel, rel, pred, workers="auto", implementation="probe")
-        assert result.parallel.mode == "sequential"
-        assert result.implementation == "probe"
-        assert list(result.pairs.rows) == _sequential(rel, rel, pred, "probe")[0]
+        with pytest.raises(PlanError, match="workers must be an int >= 1"):
+            parallel_ssjoin(rel, rel, pred, workers=workers, backend=BACKEND_SERIAL)
+        with pytest.raises(PlanError, match="workers must be an int >= 1"):
+            SSJoin(rel, rel, pred).execute("encoded-prefix", workers=workers)
+        with pytest.raises(PlanError, match="workers must be an int >= 1"):
+            jaccard_resemblance_join(["a b c", "a b d"], threshold=0.5, workers=workers)

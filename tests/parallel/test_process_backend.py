@@ -87,22 +87,23 @@ def test_process_backend_matches_sequential(relations, implementation):
 
         report = result.parallel
         assert report is not None
-        assert report.mode == "parallel"
         assert report.requested == 2
+        if implementation != "encoded-prefix":
+            # Only the encoded-prefix plan runs in shards.
+            assert report.mode == "sequential"
+            assert report.workers == 1
+            continue
+        assert report.mode == "parallel"
         assert report.workers == 2
         assert report.backend == backend
         assert report.n_shards >= 2
         assert report.wall_seconds > 0
         # Per-shard telemetry present and internally consistent.
         assert len(report.shards) == report.n_shards
-        assert sum(t.rows for t in report.shards) >= len(expected) or (
-            implementation != "encoded-prefix"
-        )
+        assert sum(t.rows for t in report.shards) >= len(expected)
         for t in report.shards:
             assert t.seconds >= 0
-            assert t.kind == report.strategy
         assert report.critical_path_seconds <= report.serial_shard_seconds + 1e-9
-        assert report.modeled_wall_seconds >= report.critical_path_seconds
 
 
 def test_metrics_carry_parallel_stats(relations):
@@ -120,8 +121,8 @@ def test_metrics_carry_parallel_stats(relations):
     stats = metrics.parallel_stats
     assert stats is not None
     assert stats == result.parallel.to_dict()
-    for key in ("mode", "strategy", "workers", "n_shards",
-                "wall_seconds", "modeled_wall_seconds", "shards"):
+    for key in ("mode", "workers", "n_shards", "wall_seconds",
+                "critical_path_seconds", "shards"):
         assert key in stats
 
 

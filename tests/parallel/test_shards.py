@@ -1,4 +1,4 @@
-"""Shard planner properties: balance, determinism, and SSJ108 coverage."""
+"""Token-range shard planner properties and SSJ108 coverage."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +10,7 @@ from repro.core.encoded_prefix import group_prefix_lengths
 from repro.core.predicate import OverlapPredicate
 from repro.core.prepared import PreparedRelation
 from repro.errors import AnalysisError, PlanError
-from repro.parallel.shards import (
-    KIND_GROUP_HASH,
-    KIND_TOKEN_RANGE,
-    ShardDescriptor,
-    plan_group_shards,
-    plan_token_range_shards,
-)
+from repro.parallel.shards import ShardDescriptor, plan_token_range_shards
 from repro.tokenize.sets import WeightedSet
 
 from tests.core.test_implementations import prepared_relations
@@ -28,56 +22,6 @@ def _rel(sizes, name="r"):
         for i, k in enumerate(sizes)
     }
     return PreparedRelation.from_sets(groups, name=name)
-
-
-class TestGroupShards:
-    def test_partitions_positions_exactly(self):
-        rel = _rel([3, 1, 7, 2, 2, 5])
-        shards = plan_group_shards(rel, 3)
-        positions = sorted(p for s in shards for p in s.group_positions)
-        assert positions == list(range(6))
-        assert all(s.kind == KIND_GROUP_HASH for s in shards)
-        assert verify_shards(shards, rel.num_groups).ok
-
-    def test_deterministic_across_calls(self):
-        rel = _rel([4, 4, 1, 9, 3, 3, 2])
-        a = plan_group_shards(rel, 4)
-        b = plan_group_shards(rel, 4)
-        assert a == b
-
-    def test_balances_skewed_groups(self):
-        # One giant group + many tiny ones: LPT puts the giant alone-ish.
-        rel = _rel([100] + [1] * 10)
-        shards = plan_group_shards(rel, 4)
-        loads = sorted(s.est_cost for s in shards)
-        # The giant group's shard dominates; the rest split the tiny ones.
-        assert loads[-1] >= 100
-        assert 0 in shards[0].group_positions or any(
-            0 in s.group_positions for s in shards
-        )
-
-    def test_caps_at_group_count(self):
-        rel = _rel([1, 1])
-        shards = plan_group_shards(rel, 16)
-        assert len(shards) <= 2
-        assert verify_shards(shards, 2).ok
-
-    def test_empty_relation(self):
-        assert plan_group_shards(_rel([]), 4) == []
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(PlanError):
-            plan_group_shards(_rel([1]), 0)
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=12), max_size=20),
-        st.integers(min_value=1, max_value=8),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_always_covers(self, sizes, n_shards):
-        rel = _rel(sizes)
-        shards = plan_group_shards(rel, n_shards)
-        assert verify_shards(shards, rel.num_groups).ok
 
 
 class TestTokenRangeShards:
@@ -99,7 +43,6 @@ class TestTokenRangeShards:
         assert verify_shards(shards, universe).ok
         assert shards[0].lo == 0
         assert shards[-1].hi == universe
-        assert all(s.kind == KIND_TOKEN_RANGE for s in shards)
         assert len(shards) <= min(n_shards, universe)
 
     def test_empty_universe(self):
@@ -125,7 +68,7 @@ class TestTokenRangeShards:
 
 class TestSSJ108:
     def _range(self, shard_id, lo, hi):
-        return ShardDescriptor(shard_id=shard_id, kind=KIND_TOKEN_RANGE, lo=lo, hi=hi)
+        return ShardDescriptor(shard_id=shard_id, lo=lo, hi=hi)
 
     def test_gap_is_an_error(self):
         report = verify_shards([self._range(0, 0, 3), self._range(1, 4, 8)], 8)
@@ -145,29 +88,8 @@ class TestSSJ108:
         assert not verify_shards([], 3).ok
         assert verify_shards([], 0).ok
 
-    def test_missing_group_position(self):
-        shards = [
-            ShardDescriptor(shard_id=0, kind=KIND_GROUP_HASH, group_positions=(0, 2))
-        ]
-        report = verify_shards(shards, 3)
-        assert not report.ok
-        assert any("missing" in d.message for d in report.errors())
-
-    def test_duplicated_group_position(self):
-        shards = [
-            ShardDescriptor(shard_id=0, kind=KIND_GROUP_HASH, group_positions=(0, 1)),
-            ShardDescriptor(shard_id=1, kind=KIND_GROUP_HASH, group_positions=(1, 2)),
-        ]
-        report = verify_shards(shards, 3)
-        assert not report.ok
-        assert any("duplicated" in d.message for d in report.errors())
-
-    def test_mixed_kinds_rejected(self):
-        shards = [
-            self._range(0, 0, 3),
-            ShardDescriptor(shard_id=1, kind=KIND_GROUP_HASH, group_positions=(0,)),
-        ]
-        assert not verify_shards(shards, 3).ok
+    def test_non_descriptor_entry_rejected(self):
+        assert not verify_shards([self._range(0, 0, 3), (3, 8)], 8).ok
 
     def test_duplicate_shard_ids_rejected(self):
         assert not verify_shards(

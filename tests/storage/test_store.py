@@ -21,7 +21,6 @@ from repro.joins.jaccard_join import resolve_weights
 from repro.storage import (
     EncodingStore,
     ingest_prepared,
-    load_encoded_ref,
     open_table,
 )
 from repro.tokenize.words import words
@@ -197,14 +196,6 @@ class TestEncodingCacheTiers:
             fig12_prepared(), fig12_prepared(), None, cache=cold
         ) == "disk"
 
-    def test_load_encoded_ref_matches_original(self, ingested):
-        original = ingested.encoded()
-        loaded = load_encoded_ref(original.storage_ref)
-        assert [list(g) for g in loaded.ids] == [
-            list(g) for g in original.ids
-        ]
-        assert list(loaded.keys) == list(original.keys)
-
 
 class TestCostModelTiers:
     def test_disk_tier_charges_page_io_not_reencode(self, tmp_path):
@@ -262,7 +253,7 @@ class TestStaleArtifacts:
 
 
 class TestParallelPayload:
-    def test_process_backend_ships_stored_refs(self, ingested, monkeypatch):
+    def test_process_backend_joins_disk_attached_table(self, ingested, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
         cache = EncodingCache()
         ingested.seed_cache(cache)
@@ -276,7 +267,8 @@ class TestParallelPayload:
         ).execute(
             "encoded-prefix", metrics=m, workers=2, encoding_cache=cache
         )
-        assert m.extra.get("parallel_payload") == "stored-ref"
+        assert result.parallel.mode == "parallel"
+        assert result.parallel.backend == "process"
         assert sorted(map(repr, result.pairs.rows)) == sorted(
             map(repr, baseline.pairs.rows)
         )

@@ -35,6 +35,12 @@ class TestParser:
                 ["dedupe", "--input", str(corpus), "--implementation", "encoded-probe"]
             )
 
+    def test_workers_auto_rejected(self, corpus, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dedupe", "--input", str(corpus), "--workers", "auto"])
+        assert exc.value.code == 2
+        assert "expected an integer >= 1, got 'auto'" in capsys.readouterr().err
+
 
 class TestDedupe:
     def test_edit_dedupe_to_file(self, corpus, tmp_path):
